@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import pareto_front_3omm
-from .refpoints import generate_reference_points
+from .refpoints import _angles, generate_reference_points
 
 __all__ = [
     "RunRecord",
@@ -48,14 +48,21 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class AngleReport:
-    """Exact association geometry of the 3-OMM front for one (n, p)."""
+    """Exact association geometry of the 3-OMM front for one (n, p).
+
+    ``collisions`` sums, over the reference points held by some front
+    value's tie set (its nearest lines, see ``ReferencePointSet.nearest``),
+    the number of values holding the point minus one. With no ties it is the
+    number of front values minus the number of points they occupy; a tied
+    value collides wherever another value holds one of its points.
+    """
 
     n: int
     p: int
     min_pairwise_angle: float
     max_assoc_angle: float
     separated: bool  # min pairwise > 2 * max association
-    collisions: int  # distinct front values sharing a reference point
+    collisions: int  # see above: values sharing a nearest reference point
 
 
 @dataclass(frozen=True)
@@ -80,52 +87,46 @@ def detect_loss(previous: set[Value], current: set[Value]) -> list[Value]:
     return sorted(previous - current)
 
 
-def _normalized_front(n: int) -> np.ndarray:
-    front = pareto_front_3omm(n).astype(float)
-    z_max = np.array([n, n / 2, n / 2], dtype=float)
-    return front / z_max
+def _front_directions(n: int) -> np.ndarray:
+    """The min-max normalized 3-OMM front, f / (n, n/2, n/2), scaled by n.
+
+    Scaling keeps every line through the origin, and the integer
+    coordinates make the angle products exact.
+    """
+    return (pareto_front_3omm(n) * np.array([1, 2, 2])).astype(float)
 
 
 def verify_unique_association(n: int, p: int) -> AngleReport:
     """Check that every 3-OMM front value claims its own reference point.
 
     Enumerates all (n/2+1)^2 front values, normalizes with the min-max map
-    (ideal at the origin, per-objective maxima (n, n/2, n/2)), associates
-    each with the nearest reference line, and measures the exact extremal
-    angles. ``separated`` means the smallest angle between two distinct
-    normalized front values exceeds twice the largest value-to-reference
-    angle, which forces zero collisions.
+    (ideal at the origin, per-objective maxima (n, n/2, n/2)), finds each
+    value's nearest reference lines with ``ReferencePointSet.nearest``, and
+    measures the exact extremal angles. ``separated`` means the smallest
+    angle between two distinct normalized front values exceeds twice the
+    largest value-to-reference angle, which forces zero collisions.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"3-OMM requires even n >= 2, got {n}")
     if p < 1:
         raise ValueError(f"divisions must be >= 1, got {p}")
 
-    nf = _normalized_front(n)
-    refs = generate_reference_points(3, p)
-    units = refs.unit_points
+    dirs = _front_directions(n)
+    angle, index, tie = generate_reference_points(3, p).nearest(dirs)
+    max_assoc_angle = float(angle.max())
 
-    norms = np.linalg.norm(nf, axis=1)
-    cos_to_refs = (nf @ units.T) / norms[:, None]
-    np.clip(cos_to_refs, -1.0, 1.0, out=cos_to_refs)
-    assoc = np.argmax(cos_to_refs, axis=1)
-    max_assoc_angle = float(
-        np.arccos(cos_to_refs[np.arange(len(nf)), assoc]).max()
-    )
+    pairs = _angles(dirs[:, None, :], dirs[None, :, :])
+    np.fill_diagonal(pairs, np.inf)
+    min_pairwise_angle = float(pairs.min())
 
-    unit_front = nf / norms[:, None]
-    cos_pairs = np.clip(unit_front @ unit_front.T, -1.0, 1.0)
-    np.fill_diagonal(cos_pairs, -1.0)
-    min_pairwise_angle = float(np.arccos(cos_pairs.max()))
-
-    collisions = len(nf) - len(np.unique(assoc))
+    _, claims = np.unique(index[tie], return_counts=True)
     return AngleReport(
         n=n,
         p=p,
         min_pairwise_angle=min_pairwise_angle,
         max_assoc_angle=max_assoc_angle,
         separated=min_pairwise_angle > 2.0 * max_assoc_angle,
-        collisions=collisions,
+        collisions=int((claims - 1).sum()),
     )
 
 

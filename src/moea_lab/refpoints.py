@@ -9,6 +9,7 @@ through the origin, or equivalently the angle between the vectors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,30 @@ __all__ = [
     "perpendicular_distance",
     "angle_between",
 ]
+
+# Half-width of the candidate box in ReferencePointSet.nearest. Candidates
+# span floor(q_i) - 2 .. floor(q_i) + 3 in each of the first M - 1
+# coordinates of the projection q, so a lattice point left out is at least
+# 3 from q in one coordinate, hence at least 3 * sqrt(M / (M - 1)) from q on
+# the plane sum(x) = p. The line through such a point x meets the plane at
+# an angle whose sine is (p / sqrt(M)) / |x| >= 1 / sqrt(M), as no point of
+# the simplex is longer than p, so the line passes at least 3 / sqrt(M - 1)
+# from q. The lattice point nearest q (q rounded on the plane) is in the
+# box, and its line passes within the lattice's covering radius
+# sqrt(a (M - a) / M), a = M // 2, of q. For M <= 6 that radius is below
+# 3 / sqrt(M - 1), so no left-out point can beat or tie the best candidate;
+# and the angle to a line grows with its distance from q.
+_RADIUS = 2
+_MAX_NEAREST_DIM = 6
+
+# Relative width of a tie in ReferencePointSet.nearest. Rounding moves a
+# computed angle by about 1e-16 / angle, relative (an ulp of |v| |u| in the
+# minors); integer-valued rows, as the verifier's are, leave only a few
+# ulps. So 1e-9 holds every true tie at angles above 1e-6, while on the 3-OMM
+# fronts of every even n <= 40 at every p <= 21n, and at n = 64, p = 1344, a
+# best candidate and the nearest candidate that is not an exact tie differ
+# by at least 1.7e-6, relative.
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,19 +63,110 @@ class ReferencePointSet:
         norms = np.linalg.norm(self.points, axis=1, keepdims=True)
         return self.points / norms
 
+    def nearest(self, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest reference lines of non-negative vectors, with their ties.
+
+        Each row v is projected onto the lattice's simplex as q = p v / sum(v),
+        and only the lattice points in a small box around q are scored (see
+        ``_RADIUS``), so the work does not grow with the lattice. Angles come
+        from ``_angles``.
+
+        Returns ``(angle, index, tie)``. ``angle[i]`` is row i's smallest
+        angle to a reference line. ``index[i]`` holds the lattice indices of
+        its candidates in increasing order, -1 for box points off the simplex.
+        ``tie[i]`` marks row i's tie set: the candidates whose angle is within
+        a relative ``_TIE_RTOL`` of ``angle[i]``.
+        """
+        v = np.atleast_2d(np.asarray(values, dtype=float))
+        if v.ndim != 2 or v.shape[1] != self.dim:
+            raise ValueError(f"values must be rows of {self.dim} coordinates")
+        if self.dim > _MAX_NEAREST_DIM:
+            raise ValueError(f"nearest supports up to {_MAX_NEAREST_DIM} dimensions")
+        if not np.all(np.isfinite(v)) or np.any(v < 0):
+            raise ValueError("values must be finite and non-negative")
+        total = v.sum(axis=1)
+        if np.any(total == 0):
+            raise ValueError("values must have a positive sum")
+
+        q = self.p * v[:, :-1] / total[:, None]
+        head = np.floor(q).astype(np.int64)[:, None, :] + _box_offsets(self.dim)
+        grid = np.concatenate([head, self.p - head.sum(axis=2, keepdims=True)], axis=2)
+        on_simplex = np.all(grid >= 0, axis=2)
+        index = np.where(on_simplex, _lattice_index(grid, self.p), -1)
+
+        angle = _angles(v[:, None, :], grid.astype(float))
+        angle[~on_simplex] = np.inf
+        best = angle.min(axis=1)
+        return best, index, angle <= best[:, None] * (1.0 + _TIE_RTOL)
+
+
+def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angles between broadcast rows of ``a`` and ``b`` (last axis).
+
+    atan2(|a x b|, a . b), with |a x b| summed from the 2x2 minors
+    a_i b_j - a_j b_i, so it stays accurate near 0 where arccos of a cosine
+    loses half the digits, and products of integer-valued rows are exact.
+    """
+    dim = a.shape[-1]
+    cross = sum(
+        (a[..., i] * b[..., j] - a[..., j] * b[..., i]) ** 2
+        for i, j in itertools.combinations(range(dim), 2)
+    )
+    dot = sum(a[..., i] * b[..., i] for i in range(dim))
+    return np.arctan2(np.sqrt(cross), dot)
+
+
+def _box_offsets(dim: int) -> np.ndarray:
+    """Candidate offsets from floor(q) in the first dim - 1 coordinates,
+    lexicographic, so candidates come in lattice order."""
+    steps = range(-_RADIUS, _RADIUS + 2)
+    return np.array(list(itertools.product(steps, repeat=dim - 1)), dtype=np.int64)
+
+
+def _binomial(m: np.ndarray, k: int) -> np.ndarray:
+    """C(m, k) elementwise for non-negative integer arrays ``m``."""
+    out = np.ones_like(m)
+    for t in range(k):
+        out = out * (m - t) // (t + 1)  # C(m, t) (m - t) / (t + 1) = C(m, t + 1)
+    return out
+
+
+def _lattice_index(grid: np.ndarray, p: int) -> np.ndarray:
+    """Row index of each composition (last axis) in ``_compositions(p, M)``.
+
+    The compositions before x agree with it up to some part i and have a
+    smaller part i; with r left for parts i.. and k = M - 1 - i parts after
+    it, they number sum over t < x_i of C(r - t + k - 1, k - 1), which is
+    C(r + k, k) - C(r - x_i + k, k). Entries for points off the simplex are
+    meaningless.
+    """
+    dim = grid.shape[-1]
+    index = np.zeros(grid.shape[:-1], dtype=np.int64)
+    left = np.full(grid.shape[:-1], p, dtype=np.int64)
+    for i in range(dim - 1):
+        k = dim - 1 - i
+        after = left - grid[..., i]
+        index += _binomial(left + k, k) - _binomial(after + k, k)
+        left = after
+    return index
+
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All orderings of non-negative integers with given sum, lexicographic."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        block = np.empty((rest.shape[0], parts), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.concatenate(rows, axis=0)
+    """All orderings of non-negative integers with given sum, lexicographic.
+
+    Built one column at a time: each prefix is repeated once per possible
+    next part (0 up to what remains), so the rows stay in lexicographic
+    order; the last column is what remains.
+    """
+    prefix = np.empty((1, 0), dtype=np.int64)
+    remaining = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        counts = remaining + 1
+        starts = np.cumsum(counts) - counts
+        part = np.arange(counts.sum(), dtype=np.int64) - np.repeat(starts, counts)
+        prefix = np.column_stack([np.repeat(prefix, counts, axis=0), part])
+        remaining = np.repeat(remaining, counts) - part
+    return np.column_stack([prefix, remaining])
 
 
 def generate_reference_points(dim: int, p: int) -> ReferencePointSet:

@@ -11,6 +11,32 @@ from moea_lab.analysis import (
     verify_unique_association,
 )
 from moea_lab.problems import pareto_front_3omm, three_omm
+from moea_lab.refpoints import generate_reference_points
+
+# p_min of minimal_p_search(n, 21 n) for even n, as the dense verifier found it
+P_MIN = {
+    2: 2, 4: 5, 6: 8, 8: 10, 10: 12, 12: 16, 14: 18, 16: 20, 18: 24, 20: 26,
+    22: 28, 24: 32, 26: 34, 28: 38, 30: 40, 32: 42, 34: 46, 36: 48, 38: 52, 40: 54,
+}
+
+
+def dense_verify(n, p):
+    """Oracle: the front x lattice cosine matrix, argmax per front value.
+
+    Returns (collisions, separated, max_assoc_angle); ties fall to argmax.
+    """
+    nf = pareto_front_3omm(n) / np.array([n, n / 2, n / 2])
+    units = generate_reference_points(3, p).unit_points
+    norms = np.linalg.norm(nf, axis=1)
+    cos_to_refs = np.clip((nf @ units.T) / norms[:, None], -1.0, 1.0)
+    assoc = np.argmax(cos_to_refs, axis=1)
+    max_assoc_angle = float(np.arccos(cos_to_refs[np.arange(len(nf)), assoc]).max())
+    unit_front = nf / norms[:, None]
+    cos_pairs = np.clip(unit_front @ unit_front.T, -1.0, 1.0)
+    np.fill_diagonal(cos_pairs, -1.0)
+    min_pairwise_angle = float(np.arccos(cos_pairs.max()))
+    collisions = len(nf) - len(np.unique(assoc))
+    return collisions, min_pairwise_angle > 2.0 * max_assoc_angle, max_assoc_angle
 
 
 class TestCoverage:
@@ -69,6 +95,51 @@ class TestVerifyUniqueAssociation:
                 if report.separated:
                     assert report.collisions == 0
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matches_dense_oracle(self, n):
+        for p in range(1, 21 * n + 1):
+            report = verify_unique_association(n, p)
+            collisions, separated, max_assoc_angle = dense_verify(n, p)
+            assert (report.collisions == 0) == (collisions == 0), p
+            assert report.separated == separated, p
+            assert report.max_assoc_angle == pytest.approx(max_assoc_angle, abs=1e-7), p
+
+    def test_collisions_without_ties_count_shared_points(self):
+        # no value has a tie: collisions is values minus occupied points
+        n = 8
+        dirs = pareto_front_3omm(n) * np.array([1, 2, 2])
+        checked = 0
+        for p in range(1, 21 * n + 1):
+            _, index, tie = generate_reference_points(3, p).nearest(dirs)
+            if np.all(tie.sum(axis=1) == 1):
+                occupied = len(np.unique(index[tie]))
+                assert verify_unique_association(n, p).collisions == len(dirs) - occupied
+                checked += 1
+        assert checked > 0
+
+    def test_mirror_tie_is_not_a_collision(self):
+        # (10, 3, 3) normalizes to (0.625, 0.375, 0.375), equidistant from
+        # the mirror images (34, 20, 21)/75 and (34, 21, 20)/75
+        n, p = 16, math.ceil(4.65 * 16)
+        refs = generate_reference_points(3, p)
+        _, index, tie = refs.nearest([(0.625, 0.375, 0.375)])
+        held = {tuple(np.round(refs.points[i] * p).astype(int)) for i in index[0][tie[0]]}
+        assert held == {(34, 20, 21), (34, 21, 20)}
+        assert verify_unique_association(n, p).collisions == 0
+
+    def test_collision_free_at_scale(self):
+        # 1,089 front values against 905,185 reference points
+        n, p = 64, 21 * 64
+        report = verify_unique_association(n, p)
+        assert report.collisions == 0
+        assert report.separated
+        assert report.max_assoc_angle <= math.acos(1 - 18 / p**2)
+
+    @pytest.mark.parametrize("p", [6, 42])
+    def test_lattice_line_hits_are_exact(self, p):
+        # every n = 2 front value lies on a lattice line
+        assert verify_unique_association(2, p).max_assoc_angle <= 1e-15
+
     def test_too_few_points_collide(self):
         # p=2 gives 6 reference points for 9 front values
         report = verify_unique_association(4, 2)
@@ -86,6 +157,10 @@ class TestMinimalPSearch:
         for n in (4, 8, 12, 16, 20):
             result = minimal_p_search(n, p_max=21 * n)
             assert result.p_min is not None and result.p_min <= 21 * n
+
+    def test_p_min_table(self):
+        found = {n: minimal_p_search(n, p_max=21 * n).p_min for n in P_MIN}
+        assert found == P_MIN
 
     def test_not_found_reported(self):
         result = minimal_p_search(12, p_max=3)

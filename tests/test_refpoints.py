@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from moea_lab.refpoints import (
+    _TIE_RTOL,
     angle_between,
     generate_reference_points,
     perpendicular_distance,
@@ -18,6 +19,27 @@ def composition_count(total, parts):
         for combo in itertools.product(range(total + 1), repeat=parts - 1)
         if sum(combo) <= total
     )
+
+
+def recursive_compositions(total, parts):
+    """Oracle: the lattice built one first part at a time, by recursion."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for first in range(total + 1):
+        rest = recursive_compositions(total - first, parts - 1)
+        block = np.empty((rest.shape[0], parts), dtype=np.int64)
+        block[:, 0] = first
+        block[:, 1:] = rest
+        rows.append(block)
+    return np.concatenate(rows, axis=0)
+
+
+def assert_same_lattice(dim, p):
+    expected = recursive_compositions(p, dim) / float(p)
+    points = generate_reference_points(dim, p).points
+    assert points.dtype == expected.dtype and points.shape == expected.shape
+    assert points.tobytes() == expected.tobytes()
 
 
 class TestGeneration:
@@ -62,6 +84,15 @@ class TestGeneration:
             assert len(generate_reference_points(dim, p)) == expected
             if p <= 6 and dim <= 4:
                 assert composition_count(p, dim) == expected
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matches_recursive_oracle(self, dim):
+        for p in range(1, 13):
+            assert_same_lattice(dim, p)
+
+    @pytest.mark.parametrize("p", [186, 672])
+    def test_matches_recursive_oracle_large(self, p):
+        assert_same_lattice(3, p)
 
     @pytest.mark.parametrize("p", [1, 2, 5, 17, 50, 200])
     def test_adjacent_lattice_distance(self, p):
@@ -135,3 +166,62 @@ class TestNearestCriterionEquivalence:
             d_dist = perpendicular_distance(v, refs.points[by_dist])
             d_angle = perpendicular_distance(v, refs.points[by_angle])
             assert abs(d_dist - d_angle) < 1e-12
+
+
+def brute_force_nearest(refs, v):
+    """Oracle: perpendicular distances to every lattice line, and the
+    indices within the tie tolerance of the smallest."""
+    dists = np.array([perpendicular_distance(v, r) for r in refs.points])
+    return dists.min(), set(np.flatnonzero(dists <= dists.min() * (1 + _TIE_RTOL)))
+
+
+def sample_rows(rng, dim, count):
+    """Random non-negative rows, a third with zeroed coordinates, and rows
+    with two equal coordinates, whose mirror-image lattice points tie."""
+    rows = rng.random((count, dim))
+    zeroed = rng.random((count, dim)) < 0.3
+    zeroed[np.arange(count) % 3 != 0] = False
+    rows[zeroed] = 0.0
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    mirrored = rng.random((count, dim))
+    mirrored[:, 1] = mirrored[:, 0]
+    return np.vstack([rows, mirrored, np.eye(dim), np.ones((1, dim))])
+
+
+class TestNearest:
+    @pytest.mark.parametrize("dim,p", [(2, 1), (2, 7), (2, 40), (3, 1), (3, 2), (3, 5), (3, 13), (3, 30)])
+    def test_matches_brute_force(self, rng, dim, p):
+        refs = generate_reference_points(dim, p)
+        rows = sample_rows(rng, dim, 40)
+        angle, index, tie = refs.nearest(rows)
+        ties_seen = 0
+        for v, a, idx, t in zip(rows, angle, index, tie):
+            d_min, expected = brute_force_nearest(refs, v)
+            assert set(idx[t]) == expected
+            assert a == pytest.approx(math.asin(min(d_min / np.linalg.norm(v), 1.0)), abs=1e-12)
+            ties_seen += len(expected) > 1
+        if dim == 3 and p > 1:  # mirrored rows tie
+            assert ties_seen > 0
+
+    def test_candidates_in_lattice_order(self, rng):
+        refs = generate_reference_points(3, 20)
+        _, index, _ = refs.nearest(rng.random((50, 3)))
+        for row in index:
+            on_simplex = row[row >= 0]
+            assert np.all(np.diff(on_simplex) > 0)
+
+    def test_lattice_hit_has_zero_angle(self):
+        refs = generate_reference_points(3, 12)
+        angle, index, tie = refs.nearest(refs.points * 12)
+        assert np.all(angle == 0.0)
+        assert [row[t].tolist() for row, t in zip(index, tie)] == [[i] for i in range(len(refs))]
+
+    @pytest.mark.parametrize("row", [(0.2, -0.1, 0.9), (0.0, 0.0, 0.0), (np.nan, 0.1, 0.1)])
+    def test_invalid_rows_rejected(self, row):
+        refs = generate_reference_points(3, 4)
+        with pytest.raises(ValueError):
+            refs.nearest([(0.1, 0.2, 0.7), row])
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError):
+            generate_reference_points(3, 4).nearest([(0.5, 0.5)])
