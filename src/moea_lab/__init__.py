@@ -12,32 +12,14 @@ from .analysis import (
 )
 from .dominance import dominates, fast_nondominated_sort
 from .engine import RunConfig, make_offspring, run, run_collect
-from .genome import (
-    random_genome,
-    random_population,
-    spawn_run_rng,
-    standard_bit_mutation,
-    uniform_crossover,
-)
+from .genome import random_population, uniform_crossover
 from .normalization import (
     DegeneratePopulationError,
     NormalizationState,
     normalize,
 )
-from .problems import (
-    eval_3omm,
-    eval_oneminmax,
-    make_problem,
-    one_min_max,
-    pareto_front_3omm,
-    three_omm,
-)
-from .refpoints import (
-    ReferencePointSet,
-    angle_between,
-    generate_reference_points,
-    perpendicular_distance,
-)
+from .problems import make_problem, one_min_max, pareto_front_3omm, three_omm
+from .refpoints import ReferencePointSet, generate_reference_points
 from .selection import associate, crowding_distance_select, niching_select
 
 __all__ = [
@@ -48,14 +30,11 @@ __all__ = [
     "ReferencePointSet",
     "RunConfig",
     "RunRecord",
-    "angle_between",
     "associate",
     "coverage",
     "crowding_distance_select",
     "detect_loss",
     "dominates",
-    "eval_3omm",
-    "eval_oneminmax",
     "fast_nondominated_sort",
     "generate_reference_points",
     "make_offspring",
@@ -65,13 +44,9 @@ __all__ = [
     "normalize",
     "one_min_max",
     "pareto_front_3omm",
-    "perpendicular_distance",
-    "random_genome",
     "random_population",
     "run",
     "run_collect",
-    "spawn_run_rng",
-    "standard_bit_mutation",
     "three_omm",
     "uniform_crossover",
     "verify_unique_association",

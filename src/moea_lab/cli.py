@@ -28,7 +28,8 @@ import sys
 from multiprocessing import Pool
 
 from .analysis import minimal_p_search, verify_unique_association
-from .engine import RunConfig, run_collect
+from .engine import STOP_POLICIES, RunConfig, run_collect
+from .normalization import DegeneratePopulationError
 from .problems import make_problem
 
 RUN_COLUMNS = [
@@ -98,16 +99,25 @@ def _write_csv(path: str | None, columns: list[str], rows: list[list]) -> None:
         os.replace(tmp, path)
 
 
+def _usage_checked(func, *args, **kwargs):
+    """Call ``func``; the ValueError it raises for bad arguments is a usage error."""
+    try:
+        return func(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _master_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MOEA_LAB_SEED")
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("MOEA_LAB_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise UsageError(f"MOEA_LAB_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise UsageError(f"master seed must be >= 0, got {seed}")
+    return seed
 
 
 def _build_config(
@@ -129,7 +139,7 @@ def _build_config(
         n=n,
         pop_size=pop_size,
         algorithm=algo,
-        divisions=divisions if algo == "nsga3" else None,
+        divisions=divisions,
         crossover_rate=chi,
         mutation_prob=mutation_prob,
         max_iterations=iterations,
@@ -137,10 +147,7 @@ def _build_config(
         stop=stop,
         run_id=run_id,
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _usage_checked(cfg.validate)
     return cfg
 
 
@@ -168,17 +175,20 @@ def _run_rows(task) -> list[list]:
 
 
 def _execute_tasks(tasks, jobs: int) -> list[list[list]]:
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         with Pool(processes=jobs) as pool:
             return pool.map(_run_rows, tasks)
     return [_run_rows(task) for task in tasks]
 
 
+def _check_seeds(seeds: int) -> None:
+    if seeds < 1:
+        raise UsageError(f"number of runs must be >= 1, got {seeds}")
+
+
 def _cmd_run(args) -> int:
-    if args.algo == "nsga2" and args.divisions is not None:
-        raise UsageError("--divisions only applies to --algo nsga3")
-    if args.algo == "nsga3" and args.divisions is None:
-        raise UsageError("--algo nsga3 requires --divisions")
+    _check_seeds(args.seeds)
     master = _master_seed(args)
     tasks = []
     for idx in range(args.seeds):
@@ -206,7 +216,7 @@ def _cmd_verify(args) -> int:
     rows = []
     for n in args.n:
         for p in args.p:
-            report = verify_unique_association(n, p)
+            report = _usage_checked(verify_unique_association, n, p)
             rows.append(
                 [
                     report.n,
@@ -222,7 +232,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_min_p(args) -> int:
-    result = minimal_p_search(args.n, p_max=args.p_max, p_min=args.p_min)
+    result = _usage_checked(minimal_p_search, args.n, p_max=args.p_max, p_min=args.p_min)
     rows = [
         [
             result.n,
@@ -292,23 +302,36 @@ def parse_sweep_spec(lines) -> dict:
 def _expand_sweep(spec: dict, master_seed: int):
     """Cartesian product of the spec's sweep axes into validated configs."""
 
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
+
     def get_list(key, convert):
-        if key in spec:
+        if key not in spec:
+            return SPEC_DEFAULTS.get(key)
+        try:
             return [convert(v) for v in spec[key]]
-        return SPEC_DEFAULTS.get(key)
+        except ValueError as exc:
+            raise UsageError(f"spec key {key!r}: {exc}") from exc
+
+    def get_scalar(key, convert):
+        return get_list(key, convert)[0] if key in spec else SPEC_DEFAULTS[key]
 
     problems = get_list("problem", str)
     ns = get_list("n", int)
     algos = get_list("algo", str)
-    chis = get_list("crossover_rate", float)
+    chis = get_list("crossover_rate", finite)
     pop_sizes = get_list("pop_size", int)
-    pop_mults = get_list("pop_mult", float)
+    pop_mults = get_list("pop_mult", finite)
     divisions = get_list("divisions", int)
-    div_mults = get_list("div_mult", float)
-    mutation_prob = float(spec["mutation_prob"][0]) if "mutation_prob" in spec else None
-    iterations = int(spec["iterations"][0]) if "iterations" in spec else SPEC_DEFAULTS["iterations"]
-    stop = spec["stop"][0] if "stop" in spec else SPEC_DEFAULTS["stop"]
-    seeds = int(spec["seeds"][0]) if "seeds" in spec else SPEC_DEFAULTS["seeds"]
+    div_mults = get_list("div_mult", finite)
+    mutation_prob = get_scalar("mutation_prob", finite)
+    iterations = get_scalar("iterations", int)
+    stop = get_scalar("stop", str)
+    seeds = get_scalar("seeds", int)
+    _check_seeds(seeds)
 
     pop_axis = pop_sizes or pop_mults or [None]
     div_axis = divisions if divisions is not None else (div_mults or [None])
@@ -318,10 +341,7 @@ def _expand_sweep(spec: dict, master_seed: int):
     for problem, n, algo, chi, pop, div in itertools.product(
         problems, ns, algos, chis, pop_axis, div_axis
     ):
-        try:
-            front_size = make_problem(problem, n).front().shape[0]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        front_size = _usage_checked(make_problem, problem, n).front().shape[0]
         if pop is None:
             pop_size = front_size
         elif pop_sizes:
@@ -370,6 +390,8 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"spec is not text: {exc}") from exc
     configs = _expand_sweep(spec, master)
 
     all_tasks = [task for _, runs in configs for task in runs]
@@ -444,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="master seed")
     p_run.add_argument("--crossover-rate", type=float, default=0.0)
     p_run.add_argument("--mutation-prob", type=float, default=None)
-    p_run.add_argument("--stop", choices=["iters", "coverage", "monitor"], default="iters")
+    p_run.add_argument("--stop", choices=STOP_POLICIES, default="iters")
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--out", default=None, help="CSV path (default stdout)")
     p_run.set_defaults(func=_cmd_run)
@@ -481,7 +503,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, DegeneratePopulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

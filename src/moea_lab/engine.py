@@ -11,7 +11,7 @@ runs share nothing mutable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,16 @@ from .problems import Problem, make_problem
 from .refpoints import ReferencePointSet, generate_reference_points
 from .selection import associate, crowding_distance_select, niching_select
 
-__all__ = ["RunConfig", "GenerationState", "make_offspring", "run_iteration", "run"]
+__all__ = [
+    "RunConfig",
+    "GenerationState",
+    "make_offspring",
+    "run_iteration",
+    "run",
+    "run_collect",
+]
 
-STOP_POLICIES = ("iters", "coverage", "monitor")
+STOP_POLICIES = ("iters", "coverage")
 
 CROSSOVER_SWAP_PROB = 0.5
 
@@ -107,16 +114,12 @@ def make_offspring(
     size = population.shape[0]
     perm = rng.permutation(size)
     paired = size - size % 2
-    children = population[perm].copy()
-    num_pairs = paired // 2
-    do_cross = rng.random(num_pairs) < chi
-    swap_masks = rng.random((num_pairs, population.shape[1])) < CROSSOVER_SWAP_PROB
-    for pair in np.flatnonzero(do_cross):
-        i, j = 2 * pair, 2 * pair + 1
-        mask = swap_masks[pair]
-        a = children[i].copy()
-        children[i] = np.where(mask, children[j], a)
-        children[j] = np.where(mask, a, children[j])
+    children = population[perm]
+    do_cross = rng.random(paired // 2) < chi
+    first, second = children[0:paired:2], children[1:paired:2]
+    swapped = gn.uniform_crossover(first, second, CROSSOVER_SWAP_PROB, rng)
+    children[0:paired:2] = np.where(do_cross[:, None], swapped[0], first)
+    children[1:paired:2] = np.where(do_cross[:, None], swapped[1], second)
     return gn.mutate_population(children, flip, rng)
 
 
@@ -198,8 +201,8 @@ def run_iteration(
 def run(config: RunConfig):
     """Generator of RunRecords, one per iteration (iteration 0 = initial pop).
 
-    Stop policy 'iters' and 'monitor' run to max_iterations; 'coverage'
-    additionally stops at the first iteration with full front coverage.
+    Stop policy 'iters' runs to max_iterations; 'coverage' additionally
+    stops at the first iteration with full front coverage.
     """
     config.validate()
     problem = make_problem(config.problem, config.n)

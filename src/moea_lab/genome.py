@@ -1,7 +1,7 @@
-"""Bit-string genomes, seeded randomness, mutation and uniform crossover.
+"""Bit-string genomes: random initialisation, mutation and uniform crossover.
 
 Genomes are fixed-length bit sequences stored as numpy ``uint8`` arrays
-(values 0/1). All randomized operators take an explicit
+(values 0/1), one genome per row. All randomized operators take an explicit
 ``numpy.random.Generator`` so that replaying a seed reproduces an entire
 experiment's genome stream bit-exactly.
 """
@@ -11,35 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "make_rng",
-    "spawn_run_rng",
-    "random_genome",
     "random_population",
-    "standard_bit_mutation",
     "mutate_population",
     "uniform_crossover",
 ]
-
-
-def make_rng(seed) -> np.random.Generator:
-    """Create a generator from a seed (int, or sequence of ints)."""
-    return np.random.default_rng(seed)
-
-
-def spawn_run_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    """Dedicated stream for one run, derived from (master seed, run index).
-
-    Runs are reproducible independently of scheduling: the stream depends
-    only on the pair of integers, never on execution order.
-    """
-    return np.random.default_rng([int(master_seed), int(run_index)])
-
-
-def random_genome(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random bit string of length ``n`` (each bit fair)."""
-    if n < 1:
-        raise ValueError(f"genome length must be >= 1, got {n}")
-    return (rng.random(n) < 0.5).astype(np.uint8)
 
 
 def random_population(size: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,26 +26,11 @@ def random_population(size: int, n: int, rng: np.random.Generator) -> np.ndarray
     return (rng.random((size, n)) < 0.5).astype(np.uint8)
 
 
-def standard_bit_mutation(
-    parent: np.ndarray, flip_prob: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Flip each bit of ``parent`` independently with probability ``flip_prob``.
-
-    Returns a new genome; the parent is left untouched.
-    """
-    parent = np.asarray(parent, dtype=np.uint8)
-    if parent.size == 0:
-        raise ValueError("parent genome must be non-empty")
-    if not 0.0 <= flip_prob <= 1.0:
-        raise ValueError(f"flip probability must be in [0, 1], got {flip_prob}")
-    flips = rng.random(parent.shape[-1]) < flip_prob
-    return parent ^ flips.astype(np.uint8)
-
-
 def mutate_population(
     population: np.ndarray, flip_prob: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Standard bit mutation applied row-wise to a (size, n) population."""
+    """Standard bit mutation: flip every bit independently with
+    probability ``flip_prob``. Returns new genomes; the input is untouched."""
     population = np.asarray(population, dtype=np.uint8)
     if not 0.0 <= flip_prob <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {flip_prob}")
@@ -81,19 +41,19 @@ def mutate_population(
 def uniform_crossover(
     a: np.ndarray, b: np.ndarray, swap_prob: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exchange bits between two parents, independently per position.
+    """Exchange bits between parents, independently per position.
 
-    At each position, with probability ``swap_prob`` the two bits are
-    swapped between the children, otherwise passed through. The positionwise
-    multiset {a_i, b_i} is preserved in every outcome.
+    ``a`` and ``b`` are single genomes or equal-shape batches of rows, row i
+    of ``a`` paired with row i of ``b``. At each position, with probability
+    ``swap_prob`` the two bits are swapped between the children, otherwise
+    passed through; one uniform draw per position, in row-major order. The
+    positionwise multiset {a_i, b_i} is preserved in every outcome.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.shape != b.shape:
-        raise ValueError(f"parent length mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"parent shape mismatch: {a.shape} vs {b.shape}")
     if not 0.0 <= swap_prob <= 1.0:
         raise ValueError(f"swap probability must be in [0, 1], got {swap_prob}")
-    swap = rng.random(a.shape[-1]) < swap_prob
-    child1 = np.where(swap, b, a).astype(np.uint8)
-    child2 = np.where(swap, a, b).astype(np.uint8)
-    return child1, child2
+    swap = rng.random(a.shape) < swap_prob
+    return np.where(swap, b, a), np.where(swap, a, b)

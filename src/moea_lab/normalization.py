@@ -25,8 +25,8 @@ __all__ = [
     "normalize",
 ]
 
-DEFAULT_EPSILON_NADIR = 1e-6
-DEFAULT_ASF_OFF_AXIS_WEIGHT = 1e-6
+EPSILON_NADIR = 1e-6
+ASF_OFF_AXIS_WEIGHT = 1e-6
 PIVOT_TOLERANCE = 1e-12
 
 
@@ -49,8 +49,6 @@ class NormalizationState:
     worst: np.ndarray | None = None
     extremes: np.ndarray | None = None  # (dim, dim) or None
     nadir: np.ndarray | None = None
-    epsilon_nadir: float = DEFAULT_EPSILON_NADIR
-    asf_off_axis_weight: float = DEFAULT_ASF_OFF_AXIS_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -81,22 +79,17 @@ def update_ideal_and_worst(
     return replace(state, ideal=lo, worst=hi)
 
 
-def extreme_point(
-    j: int,
-    candidates: np.ndarray,
-    ideal: np.ndarray,
-    off_axis_weight: float = DEFAULT_ASF_OFF_AXIS_WEIGHT,
-) -> np.ndarray:
+def extreme_point(j: int, candidates: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     """ASF-minimal candidate for objective axis ``j``.
 
     ASF(z) = max_k (z_k - ideal_k) / w_k with w_j = 1 and w_k =
-    ``off_axis_weight`` elsewhere; ties go to the first candidate in input
-    order.
+    ``ASF_OFF_AXIS_WEIGHT`` elsewhere; ties go to the first candidate in
+    input order.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     if candidates.shape[0] == 0:
         raise ValueError("extreme point needs at least one candidate")
-    weights = np.full(candidates.shape[1], off_axis_weight)
+    weights = np.full(candidates.shape[1], ASF_OFF_AXIS_WEIGHT)
     weights[j] = 1.0
     asf = ((candidates - np.asarray(ideal, dtype=float)) / weights).max(axis=1)
     return candidates[int(np.argmin(asf))].copy()
@@ -170,19 +163,14 @@ def normalize(
     state = update_ideal_and_worst(state, values)
     ideal = state.ideal
     worst = state.worst
-    eps = state.epsilon_nadir
+    eps = EPSILON_NADIR
 
     if state.extremes is not None:
         candidates = np.concatenate([values, state.extremes], axis=0)
     else:
         candidates = values
     m = state.dim
-    extremes = np.stack(
-        [
-            extreme_point(j, candidates, ideal, state.asf_off_axis_weight)
-            for j in range(m)
-        ]
-    )
+    extremes = np.stack([extreme_point(j, candidates, ideal) for j in range(m)])
 
     valid, intercepts = hyperplane_intercepts(extremes, ideal)
     if valid and np.all((intercepts >= eps) & (intercepts <= worst)):

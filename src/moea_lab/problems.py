@@ -18,29 +18,10 @@ __all__ = [
     "Problem",
     "one_min_max",
     "three_omm",
-    "eval_oneminmax",
-    "eval_3omm",
     "pareto_front_3omm",
     "pareto_front_oneminmax",
+    "make_problem",
 ]
-
-
-def eval_oneminmax(x: np.ndarray) -> np.ndarray:
-    """OneMinMax objective vector (n - ones(x), ones(x))."""
-    x = np.asarray(x)
-    ones = int(x.sum())
-    return np.array([x.shape[-1] - ones, ones], dtype=np.int64)
-
-
-def eval_3omm(x: np.ndarray) -> np.ndarray:
-    """3-OMM objective vector (zeros, ones in first half, ones in second half)."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n % 2 != 0:
-        raise ValueError(f"3-OMM requires even genome length, got n={n}")
-    first = int(x[: n // 2].sum())
-    second = int(x[n // 2 :].sum())
-    return np.array([n - first - second, first, second], dtype=np.int64)
 
 
 def pareto_front_oneminmax(n: int) -> np.ndarray:

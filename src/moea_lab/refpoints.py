@@ -17,8 +17,6 @@ import numpy as np
 __all__ = [
     "ReferencePointSet",
     "generate_reference_points",
-    "perpendicular_distance",
-    "angle_between",
 ]
 
 # Half-width of the candidate box in ReferencePointSet.nearest. Candidates
@@ -183,29 +181,3 @@ def generate_reference_points(dim: int, p: int) -> ReferencePointSet:
     grid = _compositions(p, dim)
     return ReferencePointSet(points=grid / float(p), p=p, dim=dim)
 
-
-def perpendicular_distance(v, r) -> float:
-    """Euclidean distance from ``v`` to the line through the origin and ``r``."""
-    v = np.asarray(v, dtype=float)
-    r = np.asarray(r, dtype=float)
-    rr = float(r @ r)
-    if rr == 0.0:
-        raise ValueError("reference point must be non-zero")
-    proj = (float(v @ r) / rr) * r
-    return float(np.linalg.norm(v - proj))
-
-
-def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two non-zero vectors.
-
-    The normalized inner product is clamped into [-1, 1] before arccos to
-    stay safe at (near-)collinear vectors.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("angle is undefined for a zero vector")
-    cos = float(u @ v) / (nu * nv)
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))

@@ -18,6 +18,31 @@ class RiggedSource:
         return np.full(size, self.value)
 
 
+def perpendicular_distance(v, r) -> float:
+    """Oracle: Euclidean distance from ``v`` to the line through the origin
+    and ``r``."""
+    v = np.asarray(v, dtype=float)
+    r = np.asarray(r, dtype=float)
+    rr = float(r @ r)
+    if rr == 0.0:
+        raise ValueError("reference point must be non-zero")
+    proj = (float(v @ r) / rr) * r
+    return float(np.linalg.norm(v - proj))
+
+
+def angle_between(u, v) -> float:
+    """Oracle: angle in [0, pi] between two non-zero vectors, from arccos of
+    the normalized inner product clamped into [-1, 1]."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("angle is undefined for a zero vector")
+    cos = float(u @ v) / (nu * nv)
+    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
+
+
 @pytest.fixture
 def all_heads():
     return RiggedSource(0.0)

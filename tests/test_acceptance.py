@@ -80,7 +80,7 @@ def test_criterion_3_no_loss():
             divisions=336,
             max_iterations=2000,
             seed=[101, seed],
-            stop="monitor",
+            stop="iters",
         )
         recs = run_collect(cfg)
         covered = [r.covered for r in recs]

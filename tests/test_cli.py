@@ -294,3 +294,105 @@ class TestSweep:
         row = read_csv(sum_path.read_text())[1]
         assert row[8] == "0"
         assert row[9] == row[10] == row[11] == "-1"
+
+
+BASE_SPEC = "n = 4\nalgo = nsga2\npop_size = 5\niterations = 1\nstop = iters\n"
+
+
+class TestBadInput:
+    """Bad input ends with a documented exit code and one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv,spec,code",
+        [
+            pytest.param(
+                ["run", "--n", "4", "--algo", "nsga2", "--pop-size", "5", "--seed", "-1"],
+                None, 2, id="run-negative-seed",
+            ),
+            pytest.param(
+                ["run", "--n", "4", "--algo", "nsga2", "--pop-size", "5", "--seeds", "0"],
+                None, 2, id="run-zero-seeds",
+            ),
+            pytest.param(["verify", "--n", "5", "--p", "10"], None, 2, id="verify-odd-n"),
+            pytest.param(["verify", "--n", "4", "--p", "0"], None, 2, id="verify-zero-p"),
+            pytest.param(
+                ["verify-min-p", "--n", "5", "--p-max", "10"], None, 2, id="min-p-odd-n"
+            ),
+            pytest.param(
+                ["verify-min-p", "--n", "4", "--p-max", "3", "--p-min", "5"],
+                None, 2, id="min-p-empty-range",
+            ),
+            pytest.param(
+                ["run", "--n", "2", "--algo", "nsga3", "--pop-size", "1", "--divisions", "1"],
+                None, 1, id="run-degenerate-population",
+            ),
+            pytest.param(["sweep"], BASE_SPEC + "seeds = 0\n", 2, id="spec-zero-seeds"),
+            pytest.param(["sweep"], BASE_SPEC + "seeds = -2\n", 2, id="spec-negative-seeds"),
+            pytest.param(["sweep"], BASE_SPEC + "seeds = x\n", 2, id="spec-seeds-not-a-number"),
+            pytest.param(
+                ["sweep"], BASE_SPEC.replace("n = 4", "n = x"), 2, id="spec-n-not-a-number"
+            ),
+            pytest.param(
+                ["sweep"], BASE_SPEC.replace("iterations = 1", "iterations = 1.5"), 2,
+                id="spec-iterations-not-an-integer",
+            ),
+            pytest.param(
+                ["sweep"], BASE_SPEC + "crossover_rate = half\n", 2,
+                id="spec-crossover-not-a-number",
+            ),
+            pytest.param(
+                ["sweep"], BASE_SPEC.replace("pop_size = 5", "pop_mult = inf"), 2,
+                id="spec-infinite-pop-mult",
+            ),
+            pytest.param(
+                ["sweep"], BASE_SPEC + "mutation_prob = nan\n", 2, id="spec-nan-mutation-prob"
+            ),
+            pytest.param(["sweep"], BASE_SPEC.encode() + b"\xff\n", 2, id="spec-not-text"),
+        ],
+    )
+    def test_exit_code_and_one_line(self, capsys, tmp_path, argv, spec, code):
+        if spec is not None:
+            path = tmp_path / "bad.spec"
+            path.write_bytes(spec if isinstance(spec, bytes) else spec.encode())
+            argv = argv + [str(path), "--out", str(tmp_path / "runs.csv")]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestJobs:
+    class FakePool:
+        """Pool stand-in that records its size and maps in this process."""
+
+        sizes = []
+
+        def __init__(self, processes):
+            self.sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(task) for task in tasks]
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,seeds,size",
+        [(64, 2, 3, 2), (3, 8, 3, 3), (8, 8, 2, 2), (4, 1, 3, None), (1, 8, 3, None)],
+    )
+    def test_jobs_capped(self, capsys, monkeypatch, tmp_path, jobs, cpus, seeds, size):
+        monkeypatch.setattr("moea_lab.cli.Pool", self.FakePool)
+        monkeypatch.setattr("moea_lab.cli.os.cpu_count", lambda: cpus)
+        self.FakePool.sizes = []
+        spec = tmp_path / "jobs.spec"
+        spec.write_text(BASE_SPEC + f"seeds = {seeds}\n")
+        out = tmp_path / "runs.csv"
+        assert main(["sweep", str(spec), "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert self.FakePool.sizes == ([] if size is None else [size])
+        assert {row[0] for row in read_csv(out.read_text())[1:]} == {
+            f"c0s{i}" for i in range(seeds)
+        }

@@ -3,7 +3,7 @@ import pytest
 
 from moea_lab.dominance import fast_nondominated_sort
 from moea_lab.engine import GenerationState, RunConfig, make_offspring, run_collect
-from moea_lab.genome import random_population
+from moea_lab.genome import mutate_population, random_population
 from moea_lab.problems import three_omm
 
 
@@ -45,6 +45,7 @@ class TestRunConfig:
             config(pop_size=0),
             config(crossover_rate=1.5),
             config(stop="forever"),
+            config(stop="monitor"),
             config(algorithm="sms-emoa", divisions=None),
             config(max_iterations=-1),
         ):
@@ -52,7 +53,38 @@ class TestRunConfig:
                 bad.validate()
 
 
+def per_pair_offspring(population, cfg, rng):
+    """Oracle: make_offspring with crossover as a loop over crossed pairs,
+    drawing the same numbers in the same order."""
+    flip = cfg.effective_mutation_prob
+    if cfg.crossover_rate == 0.0:
+        return mutate_population(population, flip, rng)
+    size = population.shape[0]
+    children = population[rng.permutation(size)]
+    num_pairs = size // 2
+    do_cross = rng.random(num_pairs) < cfg.crossover_rate
+    masks = rng.random((num_pairs, population.shape[1])) < 0.5
+    for pair in np.flatnonzero(do_cross):
+        i, j = 2 * pair, 2 * pair + 1
+        a = children[i].copy()
+        children[i] = np.where(masks[pair], children[j], a)
+        children[j] = np.where(masks[pair], a, children[j])
+    return mutate_population(children, flip, rng)
+
+
 class TestMakeOffspring:
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 441, 442])
+    @pytest.mark.parametrize("chi", [0.0, 0.3, 0.9, 1.0])
+    def test_matches_per_pair_loop(self, size, chi):
+        cfg = config(pop_size=size, crossover_rate=chi)
+        for seed in range(5):
+            pop = random_population(size, cfg.n, np.random.default_rng([seed, size]))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            off = make_offspring(pop, cfg, rng)
+            assert np.array_equal(off, per_pair_offspring(pop, cfg, ref_rng))
+            assert off.dtype == np.uint8
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_identity_pipeline(self, rng):
         pop = random_population(10, 8, rng)
         cfg = config(mutation_prob=0.0)
@@ -144,14 +176,14 @@ class TestRun:
         assert recs[-1].covered == recs[-1].front_size
         assert recs[-1].iteration < 500
 
-    def test_monitor_runs_past_coverage_without_losses(self):
+    def test_iters_runs_past_coverage_without_losses(self):
         # n=20, N=121, p=420, mutation-only: full coverage then no loss
         cfg = config(
             n=20,
             pop_size=121,
             divisions=420,
             max_iterations=250,
-            stop="monitor",
+            stop="iters",
             seed=[13, 0],
         )
         recs = run_collect(cfg)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from moea_lab.problems import (
-    eval_3omm,
-    eval_oneminmax,
     make_problem,
     one_min_max,
     pareto_front_3omm,
@@ -18,19 +16,22 @@ def bits(s):
     return np.array([int(c) for c in s], dtype=np.uint8)
 
 
+def all_genomes(n):
+    return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
+
+
 class TestOneMinMax:
     @pytest.mark.parametrize(
         "genome,expected",
         [("0000", (4, 0)), ("1111", (0, 4)), ("1010", (2, 2))],
     )
     def test_examples(self, genome, expected):
-        assert tuple(eval_oneminmax(bits(genome))) == expected
+        assert one_min_max(4).evaluate(bits(genome)).tolist() == [list(expected)]
 
     def test_components_sum_to_n(self, rng):
         for n in (1, 5, 16):
-            for _ in range(20):
-                x = (rng.random(n) < 0.5).astype(np.uint8)
-                assert eval_oneminmax(x).sum() == n
+            pop = (rng.random((20, n)) < 0.5).astype(np.uint8)
+            assert np.all(one_min_max(n).evaluate(pop).sum(axis=1) == n)
 
 
 class Test3OMM:
@@ -39,18 +40,19 @@ class Test3OMM:
         [("0000", (4, 0, 0)), ("1111", (0, 2, 2)), ("1010", (2, 1, 1))],
     )
     def test_examples(self, genome, expected):
-        assert tuple(eval_3omm(bits(genome))) == expected
+        assert three_omm(4).evaluate(bits(genome)).tolist() == [list(expected)]
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
-            eval_3omm(bits("101"))
+            three_omm(3)
         with pytest.raises(ValueError):
             three_omm(5)
+        with pytest.raises(ValueError):
+            three_omm(4).evaluate(bits("101"))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_components_sum_to_n_exhaustive(self, n):
-        for genome in itertools.product((0, 1), repeat=n):
-            assert eval_3omm(np.array(genome, dtype=np.uint8)).sum() == n
+        assert np.all(three_omm(n).evaluate(all_genomes(n)).sum(axis=1) == n)
 
 
 class TestParetoFront3OMM:
@@ -77,20 +79,20 @@ class TestParetoFront3OMM:
     def test_front_matches_brute_force(self, n):
         # every genome's value is on the front and every front value is hit
         front = {tuple(v) for v in pareto_front_3omm(n)}
-        achieved = {
-            tuple(eval_3omm(np.array(g, dtype=np.uint8)))
-            for g in itertools.product((0, 1), repeat=n)
-        }
+        achieved = {tuple(v) for v in three_omm(n).evaluate(all_genomes(n))}
         assert achieved == front
 
 
 class TestProblemObjects:
     def test_vectorized_evaluation_matches_scalar(self, rng):
+        # each row against its bit counts, and against a single-row call
         prob = three_omm(10)
         pop = (rng.random((50, 10)) < 0.5).astype(np.uint8)
         batch = prob.evaluate(pop)
         for row, x in zip(batch, pop):
-            assert np.array_equal(row, eval_3omm(x))
+            first, second = int(x[:5].sum()), int(x[5:].sum())
+            assert row.tolist() == [10 - first - second, first, second]
+            assert np.array_equal(prob.evaluate(x), row[None, :])
 
     def test_omm_front(self):
         assert {tuple(v) for v in pareto_front_oneminmax(3)} == {

@@ -4,12 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from moea_lab.refpoints import (
-    _TIE_RTOL,
-    angle_between,
-    generate_reference_points,
-    perpendicular_distance,
-)
+from moea_lab.refpoints import _TIE_RTOL, generate_reference_points
+
+from conftest import angle_between, perpendicular_distance
 
 
 def composition_count(total, parts):

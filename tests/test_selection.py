@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from moea_lab.problems import pareto_front_3omm
-from moea_lab.refpoints import generate_reference_points, perpendicular_distance
+from moea_lab.refpoints import generate_reference_points
 from moea_lab.selection import (
     associate,
     crowding_distance,
     crowding_distance_select,
     niching_select,
 )
+
+from conftest import perpendicular_distance
 
 
 class TestAssociate:
