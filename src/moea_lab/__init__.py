@@ -10,7 +10,7 @@ from .analysis import (
     minimal_p_search,
     verify_unique_association,
 )
-from .dominance import dominates, fast_nondominated_sort
+from .dominance import fast_nondominated_sort
 from .engine import RunConfig, make_offspring, run, run_collect
 from .genome import random_population, uniform_crossover
 from .normalization import (
@@ -34,7 +34,6 @@ __all__ = [
     "coverage",
     "crowding_distance_select",
     "detect_loss",
-    "dominates",
     "fast_nondominated_sort",
     "generate_reference_points",
     "make_offspring",

@@ -32,6 +32,10 @@ Value = tuple[int, ...]
 
 ANGLE_SLACK = 1e-12
 
+# Rows of the front x front angle matrix held at once when taking its
+# minimum: memory grows with the front size U, not with U^2.
+_PAIR_BLOCK = 128
+
 
 @dataclass
 class RunRecord:
@@ -115,9 +119,12 @@ def verify_unique_association(n: int, p: int) -> AngleReport:
     angle, index, tie = generate_reference_points(3, p).nearest(dirs)
     max_assoc_angle = float(angle.max())
 
-    pairs = _angles(dirs[:, None, :], dirs[None, :, :])
-    np.fill_diagonal(pairs, np.inf)
-    min_pairwise_angle = float(pairs.min())
+    min_pairwise_angle = math.inf
+    for start in range(0, len(dirs), _PAIR_BLOCK):
+        pairs = _angles(dirs[start : start + _PAIR_BLOCK, None, :], dirs[None, :, :])
+        rows = np.arange(pairs.shape[0])
+        pairs[rows, start + rows] = np.inf  # a value and itself
+        min_pairwise_angle = min(min_pairwise_angle, float(pairs.min()))
 
     _, claims = np.unique(index[tie], return_counts=True)
     return AngleReport(

@@ -25,9 +25,10 @@ import math
 import os
 import statistics
 import sys
+from dataclasses import astuple, fields, replace
 from multiprocessing import Pool
 
-from .analysis import minimal_p_search, verify_unique_association
+from .analysis import AngleReport, minimal_p_search, verify_unique_association
 from .engine import STOP_POLICIES, RunConfig, run_collect
 from .normalization import DegeneratePopulationError
 from .problems import make_problem
@@ -62,18 +63,18 @@ SUMMARY_COLUMNS = [
     "max_iters",
 ]
 
-VERIFY_COLUMNS = [
-    "n",
-    "p",
-    "min_pairwise_angle",
-    "max_assoc_angle",
-    "separated",
-    "collisions",
-]
+VERIFY_COLUMNS = [f.name for f in fields(AngleReport)]
 
 
 class UsageError(Exception):
     """Bad flag combination or malformed spec; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as a UsageError, so it prints as one line."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _fmt(value) -> str:
@@ -120,48 +121,29 @@ def _master_seed(args) -> int:
     return seed
 
 
-def _build_config(
-    problem: str,
-    n: int,
-    algo: str,
-    pop_size: int,
-    divisions: int | None,
-    chi: float,
-    mutation_prob: float | None,
-    iterations: int,
-    stop: str,
-    master_seed: int,
-    run_index: int,
-    run_id: str,
-) -> RunConfig:
-    cfg = RunConfig(
-        problem=problem,
-        n=n,
-        pop_size=pop_size,
-        algorithm=algo,
-        divisions=divisions,
-        crossover_rate=chi,
-        mutation_prob=mutation_prob,
-        max_iterations=iterations,
-        seed=[master_seed, run_index],
-        stop=stop,
-        run_id=run_id,
-    )
-    _usage_checked(cfg.validate)
-    return cfg
+def _fan_out(
+    base: RunConfig, master_seed: int, seeds: int, first: int = 0, prefix: str = ""
+) -> list[tuple[RunConfig, int]]:
+    """Validate ``base`` once and give it ``seeds`` runs, ``(config, seed
+    index)``, seeded ``[master_seed, first + i]`` and named ``<prefix>s<i>``."""
+    if seeds < 1:
+        raise UsageError(f"number of runs must be >= 1, got {seeds}")
+    _usage_checked(base.validate)
+    return [
+        (replace(base, seed=[master_seed, first + i], run_id=f"{prefix}s{i}"), i)
+        for i in range(seeds)
+    ]
 
 
 def _run_rows(task) -> list[list]:
     cfg, seed_index = task
-    records = run_collect(cfg)
-    p = cfg.divisions if cfg.divisions is not None else 0
     return [
         [
             cfg.run_id,
             cfg.algorithm,
             cfg.n,
             cfg.pop_size,
-            p,
+            cfg.divisions or 0,
             cfg.crossover_rate,
             seed_index,
             rec.iteration,
@@ -170,7 +152,7 @@ def _run_rows(task) -> list[list]:
             rec.losses_cum,
             len(rec.new_values),
         ]
-        for rec in records
+        for rec in run_collect(cfg)
     ]
 
 
@@ -182,51 +164,30 @@ def _execute_tasks(tasks, jobs: int) -> list[list[list]]:
     return [_run_rows(task) for task in tasks]
 
 
-def _check_seeds(seeds: int) -> None:
-    if seeds < 1:
-        raise UsageError(f"number of runs must be >= 1, got {seeds}")
-
-
 def _cmd_run(args) -> int:
-    _check_seeds(args.seeds)
-    master = _master_seed(args)
-    tasks = []
-    for idx in range(args.seeds):
-        cfg = _build_config(
-            problem=args.problem,
-            n=args.n,
-            algo=args.algo,
-            pop_size=args.pop_size,
-            divisions=args.divisions,
-            chi=args.crossover_rate,
-            mutation_prob=args.mutation_prob,
-            iterations=args.iterations,
-            stop=args.stop,
-            master_seed=master,
-            run_index=idx,
-            run_id=f"s{idx}",
-        )
-        tasks.append((cfg, idx))
+    base = RunConfig(
+        problem=args.problem,
+        n=args.n,
+        pop_size=args.pop_size,
+        algorithm=args.algo,
+        divisions=args.divisions,
+        crossover_rate=args.crossover_rate,
+        mutation_prob=args.mutation_prob,
+        max_iterations=args.iterations,
+        stop=args.stop,
+    )
+    tasks = _fan_out(base, _master_seed(args), args.seeds)
     rows = [row for chunk in _execute_tasks(tasks, args.jobs) for row in chunk]
     _write_csv(args.out, RUN_COLUMNS, rows)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    rows = []
-    for n in args.n:
-        for p in args.p:
-            report = _usage_checked(verify_unique_association, n, p)
-            rows.append(
-                [
-                    report.n,
-                    report.p,
-                    report.min_pairwise_angle,
-                    report.max_assoc_angle,
-                    report.separated,
-                    report.collisions,
-                ]
-            )
+    rows = [
+        astuple(_usage_checked(verify_unique_association, n, p))
+        for n in args.n
+        for p in args.p
+    ]
     _write_csv(args.out, VERIFY_COLUMNS, rows)
     return 0
 
@@ -300,13 +261,20 @@ def parse_sweep_spec(lines) -> dict:
 
 
 def _expand_sweep(spec: dict, master_seed: int):
-    """Cartesian product of the spec's sweep axes into validated configs."""
+    """Cartesian product of the spec's sweep axes; one list of seeded runs
+    per configuration, each validated once."""
 
     def finite(text):
         value = float(text)
         if not math.isfinite(value):
             raise ValueError(f"expected a finite number, got {text!r}")
         return value
+
+    def ceil_size(key, mult, base):
+        size = mult * base
+        if not math.isfinite(size):
+            raise UsageError(f"spec key {key!r}: {mult} x {base} is not a finite size")
+        return math.ceil(size)
 
     def get_list(key, convert):
         if key not in spec:
@@ -331,13 +299,11 @@ def _expand_sweep(spec: dict, master_seed: int):
     iterations = get_scalar("iterations", int)
     stop = get_scalar("stop", str)
     seeds = get_scalar("seeds", int)
-    _check_seeds(seeds)
 
     pop_axis = pop_sizes or pop_mults or [None]
     div_axis = divisions if divisions is not None else (div_mults or [None])
 
     configs = []
-    run_index = 0
     for problem, n, algo, chi, pop, div in itertools.product(
         problems, ns, algos, chis, pop_axis, div_axis
     ):
@@ -345,95 +311,68 @@ def _expand_sweep(spec: dict, master_seed: int):
         if pop is None:
             pop_size = front_size
         elif pop_sizes:
-            pop_size = int(pop)
+            pop_size = pop
         else:
-            pop_size = max(1, math.ceil(pop * front_size))
+            pop_size = max(1, ceil_size("pop_mult", pop, front_size))
         if algo == "nsga2":
             divs = None
         elif div is None:
             raise UsageError("nsga3 sweep needs divisions or div_mult")
         elif divisions is not None:
-            divs = int(div)
+            divs = div
         else:
-            divs = math.ceil(div * n)
-
-        config_id = f"c{len(configs)}"
-        runs = []
-        for seed_index in range(seeds):
-            cfg = _build_config(
-                problem=problem,
-                n=n,
-                algo=algo,
-                pop_size=pop_size,
-                divisions=divs,
-                chi=chi,
-                mutation_prob=mutation_prob,
-                iterations=iterations,
-                stop=stop,
-                master_seed=master_seed,
-                run_index=run_index,
-                run_id=f"{config_id}s{seed_index}",
-            )
-            runs.append((cfg, seed_index))
-            run_index += 1
-        configs.append((config_id, runs))
-    if not configs:
-        raise UsageError("spec expands to no configurations")
+            divs = ceil_size("div_mult", div, n)
+        base = RunConfig(
+            problem=problem,
+            n=n,
+            pop_size=pop_size,
+            algorithm=algo,
+            divisions=divs,
+            crossover_rate=chi,
+            mutation_prob=mutation_prob,
+            max_iterations=iterations,
+            stop=stop,
+        )
+        k = len(configs)
+        configs.append(_fan_out(base, master_seed, seeds, k * seeds, f"c{k}"))
     return configs
 
 
 def _cmd_sweep(args) -> int:
     master = _master_seed(args)
-    try:
-        with open(args.spec) as handle:
+    with open(args.spec) as handle:
+        try:
             spec = parse_sweep_spec(handle)
-    except OSError as exc:
-        print(f"error: cannot read spec: {exc}", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"spec is not text: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"spec is not text: {exc}") from exc
     configs = _expand_sweep(spec, master)
 
-    all_tasks = [task for _, runs in configs for task in runs]
-    chunks = _execute_tasks(all_tasks, args.jobs)
-    by_run = dict(zip((cfg.run_id for cfg, _ in all_tasks), chunks))
-
-    run_rows = [row for cfg, _ in all_tasks for row in by_run[cfg.run_id]]
-    _write_csv(args.out, RUN_COLUMNS, run_rows)
+    chunks = _execute_tasks([task for runs in configs for task in runs], args.jobs)
+    _write_csv(args.out, RUN_COLUMNS, [row for chunk in chunks for row in chunk])
 
     summary_rows = []
-    for config_id, runs in configs:
-        iters_to_cov = []
-        reached = 0
-        for cfg, _ in runs:
-            rows = by_run[cfg.run_id]
-            hit = next(
-                (row[7] for row in rows if row[8] == row[9]), None
-            )  # iteration where covered == front_size
-            if hit is not None:
-                reached += 1
-                iters_to_cov.append(hit)
-        first_cfg = runs[0][0]
-        if iters_to_cov:
-            mean = statistics.fmean(iters_to_cov)
-            median = statistics.median(iters_to_cov)
-            worst = max(iters_to_cov)
+    in_order = iter(chunks)
+    for k, runs in enumerate(configs):
+        # each run's first iteration with covered == front_size, if any
+        hits = [next((r[7] for r in next(in_order) if r[8] == r[9]), None) for _ in runs]
+        iters = [hit for hit in hits if hit is not None]
+        if iters:
+            stats = [statistics.fmean(iters), statistics.median(iters), max(iters)]
         else:
-            mean = median = worst = -1
+            stats = [-1, -1, -1]
+        cfg = runs[0][0]
         summary_rows.append(
             [
-                config_id,
-                first_cfg.problem,
-                first_cfg.algorithm,
-                first_cfg.n,
-                first_cfg.pop_size,
-                first_cfg.divisions if first_cfg.divisions is not None else 0,
-                first_cfg.crossover_rate,
+                f"c{k}",
+                cfg.problem,
+                cfg.algorithm,
+                cfg.n,
+                cfg.pop_size,
+                cfg.divisions or 0,
+                cfg.crossover_rate,
                 len(runs),
-                reached,
-                mean,
-                median,
-                worst,
+                len(iters),
+                *stats,
             ]
         )
     _write_csv(args.summary_out, SUMMARY_COLUMNS, summary_rows)
@@ -449,7 +388,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moea-lab",
         description="NSGA-II / NSGA-III experiments on OneMinMax benchmarks",
     )
@@ -496,9 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,33 +1,10 @@
-"""Dominance comparison and fast non-dominated sorting into ranks."""
+"""Fast non-dominated sorting into ranks."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dominates", "fast_nondominated_sort"]
-
-STRICT = "strict"
-WEAK = "weak"
-NONE = "none"
-
-
-def dominates(a, b, sense: str = "min") -> str:
-    """Compare two objective vectors under the given optimization sense.
-
-    Returns 'weak' if a is at least as good as b in every objective,
-    'strict' if additionally strictly better in at least one, else 'none'.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"objective dimension mismatch: {a.shape} vs {b.shape}")
-    if sense == "max":
-        a, b = -a, -b
-    elif sense != "min":
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    if np.all(a <= b):
-        return STRICT if np.any(a < b) else WEAK
-    return NONE
+__all__ = ["fast_nondominated_sort"]
 
 
 def fast_nondominated_sort(values, sense: str = "min") -> list[np.ndarray]:

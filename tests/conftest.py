@@ -18,6 +18,31 @@ class RiggedSource:
         return np.full(size, self.value)
 
 
+STRICT = "strict"
+WEAK = "weak"
+NONE = "none"
+
+
+def dominates(a, b, sense: str = "min") -> str:
+    """Oracle: compare two objective vectors under the given optimization
+    sense.
+
+    Returns 'weak' if a is at least as good as b in every objective,
+    'strict' if additionally strictly better in at least one, else 'none'.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"objective dimension mismatch: {a.shape} vs {b.shape}")
+    if sense == "max":
+        a, b = -a, -b
+    elif sense != "min":
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    if np.all(a <= b):
+        return STRICT if np.any(a < b) else WEAK
+    return NONE
+
+
 def perpendicular_distance(v, r) -> float:
     """Oracle: Euclidean distance from ``v`` to the line through the origin
     and ``r``."""

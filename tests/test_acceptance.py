@@ -14,11 +14,13 @@ from scipy.stats import mannwhitneyu
 
 from moea_lab.analysis import minimal_p_search, verify_unique_association
 from moea_lab.cli import main as cli_main
-from moea_lab.dominance import dominates, fast_nondominated_sort
+from moea_lab.dominance import fast_nondominated_sort
 from moea_lab.engine import RunConfig, run_collect
 from moea_lab.genome import random_population
 from moea_lab.normalization import NormalizationState, normalize
 from moea_lab.problems import three_omm
+
+from conftest import dominates
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

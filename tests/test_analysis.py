@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,9 @@ from moea_lab.analysis import (
     verify_unique_association,
 )
 from moea_lab.problems import pareto_front_3omm, three_omm
-from moea_lab.refpoints import generate_reference_points
+from moea_lab.refpoints import _angles, generate_reference_points
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # p_min of minimal_p_search(n, 21 n) for even n, as the dense verifier found it
 P_MIN = {
@@ -134,6 +140,30 @@ class TestVerifyUniqueAssociation:
         assert report.collisions == 0
         assert report.separated
         assert report.max_assoc_angle <= math.acos(1 - 18 / p**2)
+
+    @pytest.mark.parametrize("n", [22, 30, 50])
+    def test_min_pairwise_angle_matches_whole_matrix(self, n):
+        # 144, 256 and 676 front values: one, two and several row blocks
+        dirs = pareto_front_3omm(n) * np.array([1.0, 2.0, 2.0])
+        pairs = _angles(dirs[:, None, :], dirs[None, :, :])
+        np.fill_diagonal(pairs, np.inf)
+        assert verify_unique_association(n, 5).min_pairwise_angle == pairs.min()
+
+    def test_memory_bounded_at_n128(self):
+        # 4,225 front values against 3,616,705 reference points; a whole
+        # front x front angle matrix alone would take 143 MB per temporary
+        code = (
+            "import resource\n"
+            "from moea_lab.analysis import verify_unique_association\n"
+            "assert verify_unique_association(128, 2688).collisions == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 300 * 1024  # ru_maxrss is in KiB on Linux
 
     @pytest.mark.parametrize("p", [6, 42])
     def test_lattice_line_hits_are_exact(self, p):

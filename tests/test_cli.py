@@ -1,10 +1,16 @@
+import contextlib
 import csv
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moea_lab.cli import (
     RUN_COLUMNS,
+    SPEC_SCALAR_KEYS,
     SUMMARY_COLUMNS,
     VERIFY_COLUMNS,
     UsageError,
@@ -348,6 +354,23 @@ class TestBadInput:
                 ["sweep"], BASE_SPEC + "mutation_prob = nan\n", 2, id="spec-nan-mutation-prob"
             ),
             pytest.param(["sweep"], BASE_SPEC.encode() + b"\xff\n", 2, id="spec-not-text"),
+            pytest.param(
+                ["run", "--n", "x", "--algo", "nsga2", "--pop-size", "5"],
+                None, 2, id="run-n-not-an-integer",
+            ),
+            pytest.param(["run", "--n", "4", "--algo", "nsga2"], None, 2, id="run-no-pop-size"),
+            pytest.param(["verify", "--n", "4,x", "--p", "10"], None, 2, id="verify-n-not-a-list"),
+            pytest.param(["bogus", "--n", "4"], None, 2, id="unknown-subcommand"),
+            pytest.param([], None, 2, id="no-subcommand"),
+            pytest.param(
+                ["sweep"], BASE_SPEC.replace("pop_size = 5", "pop_mult = 1e308"), 2,
+                id="spec-pop-mult-overflows",
+            ),
+            pytest.param(
+                ["sweep"],
+                BASE_SPEC.replace("algo = nsga2", "algo = nsga3") + "div_mult = 1e308\n", 2,
+                id="spec-div-mult-overflows",
+            ),
         ],
     )
     def test_exit_code_and_one_line(self, capsys, tmp_path, argv, spec, code):
@@ -360,6 +383,12 @@ class TestBadInput:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert "--pop-size" in capsys.readouterr().out
 
 
 class TestJobs:
@@ -396,3 +425,126 @@ class TestJobs:
         assert {row[0] for row in read_csv(out.read_text())[1:]} == {
             f"c0s{i}" for i in range(seeds)
         }
+
+
+# Every number is drawn from a small fixed set, so each drawn run stays tiny;
+# huge --pop-size, --p or --p-max values would allocate gigabytes and are
+# not fuzzed. --jobs never exceeds 1, so no worker process is started.
+# JUNK holds values out of range for most flags and keys, or not numbers.
+JUNK = ["-2", "-1", "0", "0.5", "1.5", "1e308", "nan", "inf", "-inf", "x", "", "4,x"]
+N_VALUES = ["3", "4", "8"]
+FLAGS = {  # command: {flag: (values, required)}
+    "run": {
+        "--problem": (["omm", "3omm"], False),
+        "--n": (N_VALUES, True),
+        "--algo": (["nsga2", "nsga3"], True),
+        "--pop-size": (["1", "5", "9", "30"], True),
+        "--divisions": (["1", "4", "40"], False),
+        "--seeds": (["1", "2"], False),
+        "--seed": (["0", "7"], False),
+        "--crossover-rate": (["0", "0.9", "1"], False),
+        "--mutation-prob": (["0", "0.25", "1"], False),
+        "--stop": (["iters", "coverage"], False),
+        "--jobs": (["1"], False),
+    },
+    "verify": {
+        "--n": (N_VALUES + ["4,8"], True),
+        "--p": (["1", "10", "40", "1,40"], True),
+    },
+    "verify-min-p": {
+        "--n": (N_VALUES, True),
+        "--p-max": (["3", "40"], True),
+        "--p-min": (["1", "5"], False),
+    },
+    "sweep": {"--seed": (["0", "7"], False), "--jobs": (["1"], False)},
+    "bogus": {"--n": (N_VALUES, False)},
+}
+SPEC_VALUES = {  # key: (values, required)
+    "problem": (["omm", "3omm"], False),
+    "n": (N_VALUES, True),
+    "algo": (["nsga2", "nsga3"], False),
+    "pop_size": (["1", "9", "30"], False),
+    "pop_mult": (["0.5", "1", "2", "1e308"], False),
+    "divisions": (["1", "40"], False),
+    "div_mult": (["0.5", "1", "5", "1e308"], False),
+    "crossover_rate": (["0", "0.9"], False),
+    "mutation_prob": (["0", "0.25"], False),
+    "stop": (["iters", "coverage"], False),
+    "seeds": (["1", "2"], False),
+    # a default of 1000 iterations would make a sweep slow
+    "iterations": (["0", "1", "3"], True),
+}
+
+
+@st.composite
+def cli_inputs(draw):
+    """An argv (paths under the placeholder <tmp>) and the text of a spec.
+
+    Mostly well-formed: a required flag or key is left out, and a value is
+    junk, one time in ten.
+    """
+
+    def rare():
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    def value(values):
+        return draw(st.sampled_from(JUNK if rare() else values))
+
+    def chosen(table):
+        return [
+            key
+            for key, (_, required) in table.items()
+            if (not rare() if required else draw(st.booleans()))
+        ]
+
+    command = draw(
+        st.sampled_from(["run", "run", "verify", "verify-min-p", "sweep", "sweep", "bogus", None])
+    )
+    if command is None:
+        return [], ""
+    argv = [command]
+    if command == "sweep":
+        argv.append("<tmp>" if rare() else "<tmp>/sweep.spec")
+    if command == "run":
+        argv += ["--iterations", value(["0", "1", "3"])]
+    for flag in chosen(FLAGS[command]):
+        argv += [flag, value(FLAGS[command][flag][0])]
+    for flag in ["--out"] + (["--summary-out"] if command == "sweep" else []):
+        if draw(st.booleans()):
+            argv += [flag, "<tmp>/missing/out.csv" if rare() else "<tmp>/out.csv"]
+    if rare():
+        argv.append(draw(st.sampled_from(["--bogus", "x"])))
+    if command != "sweep":
+        return argv, ""
+
+    keys = chosen(SPEC_VALUES)
+    for pair in (["pop_size", "pop_mult"], ["divisions", "div_mult"]):
+        if set(pair) <= set(keys) and not rare():
+            keys.remove(draw(st.sampled_from(pair)))
+    lines = []
+    for key in keys:
+        count = 1 if key in SPEC_SCALAR_KEYS else draw(st.integers(1, 2))
+        values = [value(SPEC_VALUES[key][0]) for _ in range(count)]
+        lines.append(f"{key} = " + ", ".join(values))
+    if rare():
+        lines.append(draw(st.sampled_from(["whatever", "= 3", "bogus = 1", "seeds = 1"])))
+    return argv, "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+class TestFuzz:
+    @settings(max_examples=1000, deadline=None)
+    @given(cli_inputs())
+    def test_exit_code_and_one_line(self, case):
+        argv, spec = case
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "sweep.spec").write_text(spec)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([arg.replace("<tmp>", tmp) for arg in argv])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moea_lab.dominance import dominates, fast_nondominated_sort
+from moea_lab.dominance import fast_nondominated_sort
 from moea_lab.problems import pareto_front_3omm
+
+from conftest import dominates
 
 
 def brute_force_ranks(values, sense):
