@@ -80,10 +80,22 @@ class MinimalPResult:
 
 
 def coverage(values: np.ndarray, front: np.ndarray) -> set[Value]:
-    """Front values represented in a population (exact integer match)."""
-    front_set = {tuple(int(v) for v in row) for row in np.atleast_2d(front)}
-    pop_set = {tuple(int(v) for v in row) for row in np.atleast_2d(values)}
-    return pop_set & front_set
+    """Front values represented in a population (exact integer match).
+
+    Rows are matched as mixed-radix integer codes over the front's bounding
+    box, so tuples are built only for the covered front values and memory
+    stays linear in the population plus the front, whatever the box's
+    volume.
+    """
+    front = np.atleast_2d(front).astype(np.int64)
+    values = np.atleast_2d(values).astype(np.int64)
+    lo, hi = front.min(axis=0), front.max(axis=0)
+    radix = hi - lo + 1
+    place = np.concatenate([np.cumprod(radix[:0:-1])[::-1], [1]])
+    in_box = np.all((values >= lo) & (values <= hi), axis=1)
+    pop_codes = (values[in_box] - lo) @ place
+    covered = front[np.isin((front - lo) @ place, pop_codes)]
+    return set(map(tuple, covered.tolist()))
 
 
 def detect_loss(previous: set[Value], current: set[Value]) -> list[Value]:

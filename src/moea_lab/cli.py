@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 runtime/IO failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -95,9 +96,16 @@ def _write_csv(path: str | None, columns: list[str], rows: list[list]) -> None:
         sys.stdout.write(text.getvalue())
     else:
         tmp = path + ".tmp"
-        with open(tmp, "w", newline="") as handle:
-            handle.write(text.getvalue())
-        os.replace(tmp, path)
+        handle = open(tmp, "w", newline="")
+        try:
+            with handle:
+                handle.write(text.getvalue())
+            os.replace(tmp, path)
+        except BaseException:
+            # ours since open succeeded; the first error is the one to report
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
 
 def _usage_checked(func, *args, **kwargs):

@@ -16,10 +16,14 @@ def fast_nondominated_sort(values, sense: str = "min") -> list[np.ndarray]:
     Indices within a front keep the input order. Duplicated objective
     vectors never dominate each other and land in the same front.
 
-    Uses the classic O(M * U^2) domination-count scheme on the U distinct
-    objective vectors; an individual's rank depends only on its objective
-    value, so ranks are computed once per distinct value and broadcast to
-    duplicates.
+    An individual's rank depends only on its objective value, so ranks are
+    computed once per distinct value (``_distinct_rows``) and broadcast to
+    duplicates. The U distinct values are peeled layer by layer with the
+    classic O(M * U^2) domination-count scheme; the strict-domination matrix
+    is built one objective at a time, so no (U, U, M) temporary exists. A
+    Kung/Jensen sweep would take O(U log U) for M <= 3, but on OneMinMax and
+    3-OMM every value is Pareto-optimal, so U is at most the front size
+    (441 for 3-OMM at n = 40) and the peeling ends after one layer.
     """
     values = np.atleast_2d(np.asarray(values))
     if values.shape[0] == 0:
@@ -31,14 +35,14 @@ def fast_nondominated_sort(values, sense: str = "min") -> list[np.ndarray]:
     else:
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
 
-    uniq, inverse = np.unique(work, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    uniq, inverse = _distinct_rows(work)
     u = uniq.shape[0]
 
     # strict[i, j]: distinct value i strictly dominates distinct value j
-    le = np.all(uniq[:, None, :] <= uniq[None, :, :], axis=2)
-    np.fill_diagonal(le, False)  # distinct rows: <= plus i != j implies strict
-    strict = le
+    strict = uniq[:, None, 0] <= uniq[None, :, 0]
+    for j in range(1, uniq.shape[1]):
+        strict &= uniq[:, None, j] <= uniq[None, :, j]
+    np.fill_diagonal(strict, False)  # distinct rows: <= plus i != j implies strict
 
     remaining = strict.sum(axis=0).astype(np.int64)
     rank = np.full(u, -1, dtype=np.int64)
@@ -53,3 +57,21 @@ def fast_nondominated_sort(values, sense: str = "min") -> list[np.ndarray]:
 
     ind_rank = rank[inverse]
     return [np.flatnonzero(ind_rank == lvl) for lvl in range(level)]
+
+
+def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order, and each row's index among them.
+
+    The same result as ``np.unique(values, axis=0, return_inverse=True)``
+    with the inverse flattened, from one ``np.lexsort`` of the columns
+    instead of a sort of the rows as a structured dtype.
+    """
+    values = np.asarray(values)
+    order = np.lexsort(values.T[::-1])  # lexsort's last key is the primary one
+    ordered = values[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse

@@ -10,7 +10,7 @@ through the origin, or equivalently the angle between the vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,15 +51,26 @@ class ReferencePointSet:
     points: np.ndarray  # (count, M), lexicographically sorted
     p: int
     dim: int
+    _unit_points: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     @property
     def unit_points(self) -> np.ndarray:
-        """Points scaled to unit Euclidean length (for line geometry)."""
-        norms = np.linalg.norm(self.points, axis=1, keepdims=True)
-        return self.points / norms
+        """Points scaled to unit Euclidean length (for line geometry).
+
+        Computed on first access and kept, read-only: the engine asks for
+        them every generation, while the verifier never does and so never
+        holds a second copy of its lattice.
+        """
+        if self._unit_points is None:
+            units = self.points / np.linalg.norm(self.points, axis=1, keepdims=True)
+            units.flags.writeable = False
+            object.__setattr__(self, "_unit_points", units)
+        return self._unit_points
 
     def nearest(self, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest reference lines of non-negative vectors, with their ties.

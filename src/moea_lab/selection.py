@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dominance import _distinct_rows
 from .refpoints import ReferencePointSet
 
 __all__ = [
@@ -50,8 +51,7 @@ def associate(
     if len(refs) == 0:
         raise ValueError("reference point set must be non-empty")
 
-    uniq, inverse = np.unique(normalized, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    uniq, inverse = _distinct_rows(normalized)
 
     units = refs.unit_points  # (R, M)
     # perpendicular distance^2 = |v|^2 - (v . r_unit)^2 with v >= 0, so the

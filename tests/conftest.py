@@ -68,6 +68,14 @@ def angle_between(u, v) -> float:
     return float(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
+def tuple_set_coverage(values, front) -> set[tuple[int, ...]]:
+    """Oracle: front values represented in a population, as the intersection
+    of two sets of integer tuples."""
+    front_set = {tuple(int(v) for v in row) for row in np.atleast_2d(front)}
+    pop_set = {tuple(int(v) for v in row) for row in np.atleast_2d(values)}
+    return pop_set & front_set
+
+
 @pytest.fixture
 def all_heads():
     return RiggedSource(0.0)

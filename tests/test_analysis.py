@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moea_lab.analysis import (
     ANGLE_SLACK,
@@ -14,8 +16,10 @@ from moea_lab.analysis import (
     minimal_p_search,
     verify_unique_association,
 )
-from moea_lab.problems import pareto_front_3omm, three_omm
+from moea_lab.problems import make_problem, pareto_front_3omm, three_omm
 from moea_lab.refpoints import _angles, generate_reference_points
+
+from conftest import tuple_set_coverage
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,6 +65,31 @@ class TestCoverage:
         prob = three_omm(8)
         pop = (rng.random((5, 8)) < 0.5).astype(np.uint8)
         assert len(coverage(prob.evaluate(pop), prob.front())) >= 1
+
+    @given(
+        problem=st.sampled_from(["omm", "3omm"]),
+        n=st.sampled_from([2, 4, 6, 10, 16]),
+        seed=st.integers(0, 2**32 - 1),
+        on_front=st.integers(0, 40),
+        elsewhere=st.integers(0, 40),
+        repeats=st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_tuple_set_oracle(self, problem, n, seed, on_front, elsewhere, repeats):
+        # front rows, rows from a range wider than the front's bounding box
+        # (off the front, and outside the box), then repeats of both
+        front = make_problem(problem, n).front()
+        rng = np.random.default_rng(seed)
+        rows = np.concatenate([
+            front[rng.integers(len(front), size=on_front)],
+            rng.integers(-2, n + 3, size=(elsewhere, front.shape[1])),
+        ])
+        if len(rows):
+            rows = np.concatenate([rows, rows[rng.integers(len(rows), size=repeats)]])
+        rows = rows[rng.permutation(len(rows))]
+        covered = coverage(rows, front)
+        assert covered == tuple_set_coverage(rows, front)
+        assert all(type(v) is int for value in covered for v in value)
 
 
 class TestDetectLoss:

@@ -384,6 +384,15 @@ class TestBadInput:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("out", ["", "outdir"], ids=["empty-path", "directory"])
+    def test_failed_write_leaves_no_temporary(self, capsys, monkeypatch, tmp_path, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        got, _, err = run_cli(capsys, "verify", "--n", "4", "--p", "10", "--out", out)
+        assert got == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--help"])

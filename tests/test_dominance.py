@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moea_lab.dominance import fast_nondominated_sort
+from moea_lab.dominance import _distinct_rows, fast_nondominated_sort
 from moea_lab.problems import pareto_front_3omm
 
 from conftest import dominates
@@ -26,6 +26,13 @@ def brute_force_ranks(values, sense):
         fronts.append(layer)
         remaining = [i for i in remaining if i not in layer]
     return fronts
+
+
+def draw_values(rng, kind, size, m):
+    """Objective rows from a few levels, so equal rows and ties are common."""
+    if kind == "int":
+        return rng.integers(0, 6, size=(size, m))
+    return rng.choice([-1.5, 0.0, 0.25, 1.0, 1.0 + 2**-52, 3.5], size=(size, m))
 
 
 class TestDominates:
@@ -98,13 +105,37 @@ class TestFastNondominatedSort:
     @given(
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(1, 64),
-        m=st.integers(1, 3),
+        m=st.integers(1, 4),
+        kind=st.sampled_from(["int", "float"]),
         sense=st.sampled_from(["min", "max"]),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_brute_force_oracle(self, seed, size, m, sense):
+    @settings(max_examples=120, deadline=None)
+    def test_matches_brute_force_oracle(self, seed, size, m, kind, sense):
         rng = np.random.default_rng(seed)
-        values = rng.integers(0, 6, size=(size, m))
+        values = draw_values(rng, kind, size, m)
         fronts = fast_nondominated_sort(values, sense)
         oracle = brute_force_ranks(values, sense)
         assert [sorted(f.tolist()) for f in fronts] == [sorted(f) for f in oracle]
+
+
+class TestDistinctRows:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 200),
+        m=st.integers(1, 4),
+        kind=st.sampled_from(["int", "float"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_unique(self, seed, size, m, kind):
+        values = draw_values(np.random.default_rng(seed), kind, size, m)
+        uniq, inverse = _distinct_rows(values)
+        expected, expected_inverse = np.unique(values, axis=0, return_inverse=True)
+        assert uniq.dtype == expected.dtype
+        assert np.array_equal(uniq, expected)
+        assert np.array_equal(inverse, expected_inverse.ravel())
+
+    @pytest.mark.parametrize("row", [[3], [2.5, -1.0], [0, 4, 1, 7]])
+    def test_one_row(self, row):
+        uniq, inverse = _distinct_rows(np.array([row]))
+        assert uniq.tolist() == [row]
+        assert inverse.tolist() == [0]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from moea_lab import analysis
 from moea_lab.refpoints import _TIE_RTOL, generate_reference_points
 
 from conftest import angle_between, perpendicular_distance
@@ -106,6 +107,29 @@ class TestGeneration:
                 assert abs(d - side) < 1e-12
                 checked += 1
         assert checked > 0
+
+
+class TestUnitPoints:
+    @pytest.mark.parametrize("dim,p", [(2, 7), (3, 12), (4, 5)])
+    def test_cached_and_normalized(self, dim, p):
+        refs = generate_reference_points(dim, p)
+        units = refs.unit_points
+        assert refs.unit_points is units
+        assert not units.flags.writeable
+        expected = np.array([row / np.linalg.norm(row) for row in refs.points])
+        np.testing.assert_allclose(units, expected, rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_verifier_leaves_cache_empty(self, monkeypatch):
+        built = []
+
+        def recording(dim, p):
+            built.append(generate_reference_points(dim, p))
+            return built[-1]
+
+        monkeypatch.setattr(analysis, "generate_reference_points", recording)
+        analysis.verify_unique_association(8, 40)
+        analysis.minimal_p_search(8, p_max=20)
+        assert built and all(refs._unit_points is None for refs in built)
 
 
 class TestPerpendicularDistance:
