@@ -4,6 +4,16 @@ Two paths: reference-point association + niching (the NSGA-III route) and
 crowding distance (the NSGA-II route). All random tie-breaks draw from the
 run's generator in a fixed order (reference points in lattice order,
 individuals in population order), so runs replay exactly.
+
+Association scores every distinct normalized value against every reference
+line with one BLAS matrix product, computed a few rows at a time
+(``_ROW_BLOCK``), so memory is a block of rows times the lattice, not values
+times the lattice. A block never has a single row: numpy computes a one-row
+product as a matrix-vector call whose last bits can differ, and those bits
+decide which lines tie. Ties are still read from the product's bits, so they
+can depend on the BLAS build; ``ReferencePointSet.nearest`` has exact tie
+sets, but association on it would draw a different stream, and that switch
+is still open.
 """
 
 from __future__ import annotations
@@ -22,6 +32,13 @@ __all__ = [
     "crowding_distance",
     "crowding_distance_select",
 ]
+
+# Rows of the (distinct values x reference points) product held at once.
+# np.array_split into len // _ROW_BLOCK blocks gives blocks of 8 to 15 rows,
+# and a single row only when there is one value (see the module docstring).
+# On the 3-OMM fronts of the golden runs and the benchmark, every block
+# length from 2 to 32 drew as the whole product did; length 1 did not.
+_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -44,7 +61,18 @@ class Association:
 def associate(
     normalized: np.ndarray, refs: ReferencePointSet, rng: np.random.Generator
 ) -> Association:
-    """Map each normalized objective vector to its nearest reference line."""
+    """Map each normalized objective vector to its nearest reference line.
+
+    For v >= 0 the perpendicular distance satisfies
+    d^2 = |v|^2 - (v . r_unit)^2, so the nearest line maximizes the
+    projection v . r_unit. The projections of the distinct vectors are
+    computed in row blocks (see ``_ROW_BLOCK``). In each block one
+    ``argmax`` gives every row's pick and best value; masking the picks and
+    taking one more ``max`` finds the rows whose best value occurs twice,
+    and only those rows list their ties and draw one uniformly. Rows are
+    visited in ascending order, one draw per tie row, so the draws are
+    those of a whole-matrix scan.
+    """
     normalized = np.atleast_2d(np.asarray(normalized, dtype=float))
     if not np.all(np.isfinite(normalized)):
         raise ValueError("normalized objective values must be finite")
@@ -52,20 +80,25 @@ def associate(
         raise ValueError("reference point set must be non-empty")
 
     uniq, inverse = _distinct_rows(normalized)
-
     units = refs.unit_points  # (R, M)
-    # perpendicular distance^2 = |v|^2 - (v . r_unit)^2 with v >= 0, so the
-    # nearest line maximizes the projection v . r_unit
-    proj = uniq @ units.T  # (U, R)
-    best = proj.max(axis=1)
-    chosen = np.argmax(proj, axis=1)
+    chosen = np.empty(len(uniq), dtype=np.intp)
+    best = np.empty(len(uniq))
+    for rows in np.array_split(np.arange(len(uniq)), max(1, len(uniq) // _ROW_BLOCK)):
+        proj = uniq[rows] @ units.T  # (block, R)
+        local = np.arange(rows.size)
+        pick = np.argmax(proj, axis=1)
+        top = proj[local, pick]
+        proj[local, pick] = -np.inf
+        tied = np.flatnonzero(proj.max(axis=1) == top)
+        proj[local, pick] = top
+        for i in tied:
+            ties = np.flatnonzero(proj[i] == top[i])
+            pick[i] = ties[rng.integers(ties.size)]
+        chosen[rows] = pick
+        best[rows] = top
 
-    tie_rows = np.flatnonzero((proj == best[:, None]).sum(axis=1) > 1)
-    for i in tie_rows:
-        ties = np.flatnonzero(proj[i] == best[i])
-        chosen[i] = ties[rng.integers(ties.size)]
-
-    residual = uniq - proj[np.arange(len(chosen)), chosen, None] * units[chosen]
+    # a tied pick has the same projection as the argmax, so best is exact
+    residual = uniq - best[:, None] * units[chosen]
     dist = np.linalg.norm(residual, axis=1)
     return Association(ref_index=chosen[inverse], distance=dist[inverse])
 

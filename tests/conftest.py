@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from moea_lab.dominance import _distinct_rows
+from moea_lab.selection import Association
+
 
 class RiggedSource:
     """Generator stand-in emitting a constant uniform value.
@@ -74,6 +77,24 @@ def tuple_set_coverage(values, front) -> set[tuple[int, ...]]:
     front_set = {tuple(int(v) for v in row) for row in np.atleast_2d(front)}
     pop_set = {tuple(int(v) for v in row) for row in np.atleast_2d(values)}
     return pop_set & front_set
+
+
+def dense_associate(normalized, refs, rng) -> Association:
+    """Oracle: association from the whole (distinct values x reference
+    points) product at once, with a separate max, argmax and tie count."""
+    normalized = np.atleast_2d(np.asarray(normalized, dtype=float))
+    uniq, inverse = _distinct_rows(normalized)
+    units = refs.unit_points
+    proj = uniq @ units.T
+    best = proj.max(axis=1)
+    chosen = np.argmax(proj, axis=1)
+    tie_rows = np.flatnonzero((proj == best[:, None]).sum(axis=1) > 1)
+    for i in tie_rows:
+        ties = np.flatnonzero(proj[i] == best[i])
+        chosen[i] = ties[rng.integers(ties.size)]
+    residual = uniq - proj[np.arange(len(chosen)), chosen, None] * units[chosen]
+    dist = np.linalg.norm(residual, axis=1)
+    return Association(ref_index=chosen[inverse], distance=dist[inverse])
 
 
 @pytest.fixture

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,8 @@ from moea_lab.dominance import fast_nondominated_sort
 from moea_lab.engine import GenerationState, RunConfig, make_offspring, run_collect
 from moea_lab.genome import mutate_population, random_population
 from moea_lab.problems import three_omm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def config(**overrides):
@@ -234,3 +241,24 @@ class TestRun:
             before = sum(sizes[: stats.critical_rank - 1])
             through = before + sizes[stats.critical_rank - 1]
             assert before < cfg.pop_size <= through
+
+
+class TestPaperRegime:
+    def test_p21n_fits_at_n64(self):
+        # N = (n/2+1)^2 = 1,089 against p = 21n = 1,344 (905,185 reference
+        # points); a whole (distinct values x reference points) product
+        # would take about 7.9 GB per association
+        code = (
+            "import resource\n"
+            "from moea_lab.engine import RunConfig, run_collect\n"
+            "records = run_collect(RunConfig(problem='3omm', n=64, pop_size=1089,\n"
+            "    algorithm='nsga3', divisions=1344, max_iterations=3, seed=[7, 0]))\n"
+            "assert len(records) == 4 and records[-1].losses_cum == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 300 * 1024  # ru_maxrss is in KiB on Linux

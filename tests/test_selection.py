@@ -7,13 +7,36 @@ import pytest
 from moea_lab.problems import pareto_front_3omm
 from moea_lab.refpoints import generate_reference_points
 from moea_lab.selection import (
+    _ROW_BLOCK,
     associate,
     crowding_distance,
     crowding_distance_select,
     niching_select,
 )
 
-from conftest import perpendicular_distance
+from conftest import dense_associate, perpendicular_distance
+
+# (n, p) of the golden NSGA-III runs and of both benchmark workloads
+FRONT_CASES = [(12, 252), (16, 75), (32, 672), (40, 186)]
+
+
+def minmax_front(n):
+    front = pareto_front_3omm(n).astype(float)
+    lo, hi = front.min(axis=0), front.max(axis=0)
+    return (front - lo) / (hi - lo)
+
+
+def assert_same_draws(normalized, refs, seed):
+    """The row-blocked association equals the dense oracle: same points,
+    bit-equal distances, same generator state after. Returns that state."""
+    rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    got = associate(normalized, refs, rng)
+    want = dense_associate(normalized, refs, oracle_rng)
+    assert np.array_equal(got.ref_index, want.ref_index)
+    assert np.array_equal(got.distance, want.distance)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    return rng.bit_generator.state
 
 
 class TestAssociate:
@@ -69,6 +92,26 @@ class TestAssociate:
         refs = generate_reference_points(3, 21 * n)
         assoc = associate(normalized, refs, rng)
         assert len(np.unique(assoc.ref_index)) == len(front)
+
+
+class TestAssociateMatchesDense:
+    @pytest.mark.parametrize("n,p", FRONT_CASES)
+    def test_whole_front(self, n, p):
+        state = assert_same_draws(minmax_front(n), generate_reference_points(3, p), 3)
+        # mirror-symmetric values tie between two lines: some draw happened
+        assert state != np.random.default_rng(3).bit_generator.state
+
+    @pytest.mark.parametrize("k", range(1, 2 * _ROW_BLOCK + 3))
+    def test_every_block_remainder(self, k):
+        # the front's last k rows: every block length the split makes, 1 to
+        # 2 * _ROW_BLOCK - 1, occurs; from k = 5 on they hold a mirror tie
+        front = minmax_front(12)
+        assert_same_draws(front[-k:], generate_reference_points(3, 252), k)
+
+    def test_duplicates_and_population_order(self):
+        front = minmax_front(16)
+        rows = np.random.default_rng(0).integers(len(front), size=300)
+        assert_same_draws(front[rows], generate_reference_points(3, 75), 0)
 
 
 class TestNichingSelect:
