@@ -54,6 +54,11 @@ class ReferencePointSet:
     _unit_points: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # selection.associate's results for the distinct rows of its last call on
+    # this lattice: row.tobytes() -> (pick, top, ties or None)
+    _associations: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return self.points.shape[0]

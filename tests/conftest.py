@@ -21,6 +21,15 @@ class RiggedSource:
         return np.full(size, self.value)
 
 
+# Last line of a child interpreter's code: print the child's own peak
+# resident set, in kB. Its ru_maxrss would not do: on Linux that keeps the
+# high-water mark of the process that forked it, across exec.
+PRINT_PEAK_KB = (
+    "print(next(line.split()[1] for line in open('/proc/self/status')"
+    " if line.startswith('VmHWM:')))\n"
+)
+
+
 STRICT = "strict"
 WEAK = "weak"
 NONE = "none"
@@ -95,6 +104,50 @@ def dense_associate(normalized, refs, rng) -> Association:
     residual = uniq - proj[np.arange(len(chosen)), chosen, None] * units[chosen]
     dist = np.linalg.norm(residual, axis=1)
     return Association(ref_index=chosen[inverse], distance=dist[inverse])
+
+
+def loop_niching_select(selected_refs, cand_refs, cand_dists, k, refs, rng):
+    """Oracle: niching that rescans every active reference point's niche
+    count for each pick, over an R-sized count array and dict-of-lists
+    pools."""
+    cand_refs = np.asarray(cand_refs)
+    cand_dists = np.asarray(cand_dists, dtype=float)
+    n_cand = cand_refs.shape[0]
+    if not 0 < k <= n_cand:
+        raise ValueError(f"need 0 < k <= {n_cand} candidates, got k={k}")
+
+    rho = np.zeros(len(refs), dtype=np.int64)
+    sel = np.asarray(selected_refs)
+    if sel.size:
+        np.add.at(rho, sel, 1)
+
+    pools: dict[int, list[int]] = {}
+    for idx, r in enumerate(cand_refs):
+        pools.setdefault(int(r), []).append(idx)
+
+    active = np.array(sorted(pools), dtype=np.int64)
+    chosen: list[int] = []
+    while len(chosen) < k:
+        counts = rho[active]
+        minimum = counts.min()
+        ties = active[counts == minimum]
+        r = int(ties[rng.integers(ties.size)]) if ties.size > 1 else int(ties[0])
+
+        pool = pools[r]
+        if not pool:
+            active = active[active != r]
+            continue
+        if rho[r] == 0:
+            dists = cand_dists[pool]
+            best = dists.min()
+            best_positions = np.flatnonzero(dists == best)
+            pos = int(best_positions[rng.integers(best_positions.size)]) \
+                if best_positions.size > 1 else int(best_positions[0])
+        else:
+            pos = int(rng.integers(len(pool)))
+        chosen.append(pool.pop(pos))
+        rho[r] += 1
+    return np.array(chosen, dtype=np.int64)
 
 
 @pytest.fixture

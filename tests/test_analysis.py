@@ -19,7 +19,7 @@ from moea_lab.analysis import (
 from moea_lab.problems import make_problem, pareto_front_3omm, three_omm
 from moea_lab.refpoints import _angles, generate_reference_points
 
-from conftest import tuple_set_coverage
+from conftest import PRINT_PEAK_KB, tuple_set_coverage
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -182,17 +182,16 @@ class TestVerifyUniqueAssociation:
         # 4,225 front values against 3,616,705 reference points; a whole
         # front x front angle matrix alone would take 143 MB per temporary
         code = (
-            "import resource\n"
             "from moea_lab.analysis import verify_unique_association\n"
             "assert verify_unique_association(128, 2688).collisions == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            + PRINT_PEAK_KB
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert int(result.stdout) < 300 * 1024  # ru_maxrss is in KiB on Linux
+        assert int(result.stdout) < 300 * 1024  # kB
 
     @pytest.mark.parametrize("p", [6, 42])
     def test_lattice_line_hits_are_exact(self, p):

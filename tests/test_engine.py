@@ -11,6 +11,8 @@ from moea_lab.engine import GenerationState, RunConfig, make_offspring, run_coll
 from moea_lab.genome import mutate_population, random_population
 from moea_lab.problems import three_omm
 
+from conftest import PRINT_PEAK_KB
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -249,16 +251,15 @@ class TestPaperRegime:
         # points); a whole (distinct values x reference points) product
         # would take about 7.9 GB per association
         code = (
-            "import resource\n"
             "from moea_lab.engine import RunConfig, run_collect\n"
             "records = run_collect(RunConfig(problem='3omm', n=64, pop_size=1089,\n"
             "    algorithm='nsga3', divisions=1344, max_iterations=3, seed=[7, 0]))\n"
             "assert len(records) == 4 and records[-1].losses_cum == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            + PRINT_PEAK_KB
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert int(result.stdout) < 300 * 1024  # ru_maxrss is in KiB on Linux
+        assert int(result.stdout) < 300 * 1024  # kB

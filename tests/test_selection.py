@@ -3,7 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moea_lab.dominance import _distinct_rows
 from moea_lab.problems import pareto_front_3omm
 from moea_lab.refpoints import generate_reference_points
 from moea_lab.selection import (
@@ -14,7 +17,7 @@ from moea_lab.selection import (
     niching_select,
 )
 
-from conftest import dense_associate, perpendicular_distance
+from conftest import dense_associate, loop_niching_select, perpendicular_distance
 
 # (n, p) of the golden NSGA-III runs and of both benchmark workloads
 FRONT_CASES = [(12, 252), (16, 75), (32, 672), (40, 186)]
@@ -37,6 +40,19 @@ def assert_same_draws(normalized, refs, seed):
     assert np.array_equal(got.distance, want.distance)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     return rng.bit_generator.state
+
+
+def assert_warm_same_draws(first, second, p, seed):
+    """A call on a lattice that has just associated ``first`` equals the
+    dense oracle and a call on a fresh lattice, and leaves the lattice
+    holding only ``second``'s distinct rows. Returns the state after."""
+    refs = generate_reference_points(3, p)
+    associate(first, refs, np.random.default_rng(seed + 1))
+    state = assert_same_draws(second, refs, seed)
+    assert state == assert_same_draws(second, generate_reference_points(3, p), seed)
+    distinct = {row.tobytes() for row in _distinct_rows(np.asarray(second))[0]}
+    assert set(refs._associations) == distinct
+    return state
 
 
 class TestAssociate:
@@ -112,6 +128,42 @@ class TestAssociateMatchesDense:
         front = minmax_front(16)
         rows = np.random.default_rng(0).integers(len(front), size=300)
         assert_same_draws(front[rows], generate_reference_points(3, 75), 0)
+
+    @pytest.mark.parametrize("n,p", FRONT_CASES)
+    def test_warm_same_rows(self, n, p):
+        front = minmax_front(n)
+        state = assert_warm_same_draws(front, front.copy(), p, 5)
+        assert state != np.random.default_rng(5).bit_generator.state
+
+    @pytest.mark.parametrize("n,p", FRONT_CASES)
+    def test_warm_shuffled_rows(self, n, p):
+        front = minmax_front(n)
+        rows = np.random.default_rng(n).integers(len(front), size=2 * len(front))
+        assert_warm_same_draws(front, front[rows], p, 6)
+
+    @pytest.mark.parametrize("n,p", FRONT_CASES)
+    def test_warm_old_and_new_rows(self, n, p):
+        # the first call saw the front's first two thirds, the second sees
+        # its last two thirds
+        front = minmax_front(n)
+        third = len(front) // 3
+        assert_warm_same_draws(front[: 2 * third], front[third:], p, 7)
+
+    @pytest.mark.parametrize("n,p", [(12, 252), (16, 75)])
+    def test_warm_one_new_row(self, n, p):
+        # each row in turn is the only one the first call did not see, so
+        # it is multiplied in a block of its own
+        front = minmax_front(n)
+        for i in range(len(front)):
+            assert_warm_same_draws(np.delete(front, i, axis=0), front, p, i)
+
+    @pytest.mark.parametrize("n,p", FRONT_CASES)
+    def test_warm_renormalized(self, n, p):
+        # the same population against a nadir that moved: new bits in
+        # every row with a positive coordinate
+        front = pareto_front_3omm(n).astype(float)
+        lo, hi = front.min(axis=0), front.max(axis=0)
+        assert_warm_same_draws(minmax_front(n), (front - lo) / (hi + 1 - lo), p, 8)
 
 
 class TestNichingSelect:
@@ -198,6 +250,61 @@ class TestNichingSelect:
             rng=rng,
         )
         assert sel.tolist() == [1]
+
+
+LATTICES = {p: generate_reference_points(3, p) for p in range(1, 7)}
+
+
+def assert_same_picks(selected_refs, cand_refs, cand_dists, k, refs, seed):
+    """Bucketed niching equals the loop oracle: same picks in the same
+    order, same generator state after."""
+    rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    args = (np.asarray(selected_refs, dtype=np.int64), np.asarray(cand_refs),
+            np.asarray(cand_dists, dtype=float), k, refs)
+    got = niching_select(*args, rng)
+    want = loop_niching_select(*args, oracle_rng)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@st.composite
+def niching_inputs(draw):
+    refs = LATTICES[draw(st.integers(1, 6))]
+    spots = st.integers(0, len(refs) - 1)
+    points = draw(st.lists(spots, min_size=1, max_size=8, unique=True))
+    n_cand = draw(st.integers(1, 30))
+    cand_refs = draw(st.lists(st.sampled_from(points), min_size=n_cand, max_size=n_cand))
+    # few distinct distances, so distance ties draw
+    cand_dists = draw(st.lists(
+        st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=n_cand, max_size=n_cand
+    ))
+    # carried individuals on candidate points and elsewhere
+    selected = draw(st.lists(st.one_of(st.sampled_from(points), spots), max_size=20))
+    k = draw(st.integers(1, n_cand))
+    return selected, cand_refs, cand_dists, k, refs, draw(st.integers(0, 2**32 - 1))
+
+
+class TestNichingMatchesLoop:
+    @given(niching_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_inputs(self, inputs):
+        assert_same_picks(*inputs)
+
+    def test_front_at_16_75(self):
+        # the min-max normalized 3-OMM front, drawn with repeats so that
+        # pools hold copies at equal distances
+        front = minmax_front(16)
+        refs = generate_reference_points(3, 75)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            values = front[rng.integers(len(front), size=2 * len(front))]
+            assoc = associate(values, refs, rng)
+            carried = int(rng.integers(len(values) // 2))
+            cand_refs = assoc.ref_index[carried:]
+            for k in (1, len(cand_refs) // 2, len(cand_refs)):
+                assert_same_picks(assoc.ref_index[:carried], cand_refs,
+                                  assoc.distance[carried:], k, refs, seed)
 
 
 class TestCrowdingDistance:
