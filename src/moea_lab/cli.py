@@ -12,7 +12,9 @@ All randomness derives from a master seed (flag ``--seed``, else env var
 ``MOEA_LAB_SEED``, else 0) and the run index, so repeated invocations with
 the same inputs produce byte-identical CSVs.
 
-Exit codes: 0 success, 1 runtime/IO failure, 2 usage/config error.
+Exit codes: 0 success, 1 runtime/IO failure (a population with no spread
+in some objective, or an allocation the system refuses), 2 usage/config
+error; each failure prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -451,6 +453,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, DegeneratePopulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -84,16 +84,6 @@ class GenerationState:
 
     population: np.ndarray  # (N, n) bits
     norm: NormalizationState
-    iteration: int = 0
-
-
-@dataclass
-class IterationStats:
-    """What one survivor-selection step did."""
-
-    critical_rank: int  # i*, 1-based
-    carried: int  # individuals from fronts before i*
-    filled: int  # individuals chosen from the critical front
 
 
 def make_offspring(
@@ -130,7 +120,7 @@ def _select_survivors(
     state: GenerationState,
     refs: ReferencePointSet | None,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, IterationStats]:
+) -> np.ndarray:
     """Indices (into the combined population) surviving this iteration."""
     size = config.pop_size
     total = 0
@@ -144,40 +134,31 @@ def _select_survivors(
         else np.array([], dtype=np.int64)
     )
     critical = fronts[i_star - 1]
+    pool = np.concatenate([carried, critical])
     k = size - carried.size
 
     if k == critical.size:
-        # whole critical front fits exactly; geometry not needed, but the
-        # running ideal/worst estimates still advance
-        pool = np.concatenate([carried, critical])
-        state.norm = update_ideal_and_worst(state.norm, values[pool])
+        # whole critical front fits exactly; geometry not needed, but NSGA-III
+        # still advances the running ideal/worst its later normalize calls read
+        if config.algorithm == "nsga3":
+            state.norm = update_ideal_and_worst(state.norm, values[pool])
         chosen = critical
     elif config.algorithm == "nsga3":
-        pool = np.concatenate([carried, critical])
         front_values = [values[f] for f in fronts]
-        normalizer, state.norm = normalize(state.norm, values[pool], front_values)
-        nvals = normalizer(values[pool])
+        nvals, state.norm = normalize(state.norm, values[pool], front_values)
         assoc = associate(nvals, refs, rng)
         sel = niching_select(
             selected_refs=assoc.ref_index[: carried.size],
             cand_refs=assoc.ref_index[carried.size :],
             cand_dists=assoc.distance[carried.size :],
             k=k,
-            refs=refs,
             rng=rng,
         )
         chosen = critical[sel]
     else:
-        state.norm = update_ideal_and_worst(
-            state.norm, values[np.concatenate([carried, critical])]
-        )
         sel = crowding_distance_select(values[critical], k, rng)
         chosen = critical[sel]
-
-    survivors = np.concatenate([carried, chosen])
-    return survivors, IterationStats(
-        critical_rank=i_star, carried=carried.size, filled=k
-    )
+    return np.concatenate([carried, chosen])
 
 
 def run_iteration(
@@ -186,16 +167,14 @@ def run_iteration(
     problem: Problem,
     refs: ReferencePointSet | None,
     rng: np.random.Generator,
-) -> IterationStats:
+) -> None:
     """One full generation: offspring, ranking, survivor selection."""
     offspring = make_offspring(state.population, config, rng)
     combined = np.concatenate([state.population, offspring], axis=0)
     values = problem.evaluate(combined)
-    fronts = fast_nondominated_sort(values, sense=problem.sense)
-    survivors, stats = _select_survivors(values, fronts, config, state, refs, rng)
+    fronts = fast_nondominated_sort(values, sense="max")
+    survivors = _select_survivors(values, fronts, config, state, refs, rng)
     state.population = combined[survivors]
-    state.iteration += 1
-    return stats
 
 
 def run(config: RunConfig):
@@ -217,39 +196,27 @@ def run(config: RunConfig):
 
     state = GenerationState(
         population=gn.random_population(config.pop_size, config.n, rng),
-        norm=NormalizationState(dim=problem.num_objectives),
+        norm=NormalizationState(),
     )
 
-    covered = coverage(problem.evaluate(state.population), front)
+    covered = set()
     losses = 0
-    yield RunRecord(
-        run_id=config.run_id,
-        iteration=0,
-        covered=len(covered),
-        front_size=front_size,
-        new_values=tuple(sorted(covered)),
-        losses_cum=0,
-        wall_time=0.0,
-    )
-    if config.stop == "coverage" and len(covered) == front_size:
-        return
-
-    for _ in range(config.max_iterations):
+    for iteration in range(config.max_iterations + 1):
         t0 = time.perf_counter()
-        run_iteration(state, config, problem, refs, rng)
+        if iteration:
+            run_iteration(state, config, problem, refs, rng)
         now_covered = coverage(problem.evaluate(state.population), front)
-        lost = detect_loss(covered, now_covered)
-        losses += len(lost)
+        losses += len(detect_loss(covered, now_covered))
         new = tuple(sorted(now_covered - covered))
         covered = now_covered
         yield RunRecord(
             run_id=config.run_id,
-            iteration=state.iteration,
+            iteration=iteration,
             covered=len(covered),
             front_size=front_size,
             new_values=new,
             losses_cum=losses,
-            wall_time=time.perf_counter() - t0,
+            wall_time=time.perf_counter() - t0 if iteration else 0.0,
         )
         if config.stop == "coverage" and len(covered) == front_size:
             return

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "DegeneratePopulationError",
     "NormalizationState",
-    "Normalizer",
     "update_ideal_and_worst",
     "extreme_point",
     "hyperplane_intercepts",
@@ -41,26 +40,14 @@ class NormalizationState:
     ``ideal`` / ``worst`` are the per-objective running min / max over all
     generations. ``extremes`` carries the extreme points chosen in the
     previous iteration (None before the first call). ``nadir`` is the
-    estimate produced by the most recent call.
+    estimate produced by the most recent call; with ``ideal`` it defines
+    that call's map (f - ideal) / (nadir - ideal).
     """
 
-    dim: int
     ideal: np.ndarray | None = None
     worst: np.ndarray | None = None
-    extremes: np.ndarray | None = None  # (dim, dim) or None
+    extremes: np.ndarray | None = None  # (M, M) or None
     nadir: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class Normalizer:
-    """The affine map produced by one normalize call."""
-
-    ideal: np.ndarray
-    nadir: np.ndarray
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        return (values - self.ideal) / (self.nadir - self.ideal)
 
 
 def update_ideal_and_worst(
@@ -141,14 +128,15 @@ def normalize(
     state: NormalizationState,
     values: np.ndarray,
     fronts: list[np.ndarray],
-) -> tuple[Normalizer, NormalizationState]:
+) -> tuple[np.ndarray, NormalizationState]:
     """Full normalization cascade for one selection step.
 
     ``values`` are the objective vectors the selection operates on (the
     already-selected individuals plus the critical front); ``fronts`` are
     the objective values of the ranked fronts of the whole combined
-    population (fronts[0] first). Returns the normalized-objective map and
-    the updated state (new ideal/worst, carried extremes, nadir).
+    population (fronts[0] first). Returns ``values`` normalized, as
+    (values - ideal) / (nadir - ideal), and the updated state (new
+    ideal/worst, carried extremes, nadir).
 
     Nadir cascade: hyperplane intercepts when the extreme points span a
     plane and every intercept I_j satisfies eps <= I_j <= worst_j; else the
@@ -169,7 +157,7 @@ def normalize(
         candidates = np.concatenate([values, state.extremes], axis=0)
     else:
         candidates = values
-    m = state.dim
+    m = values.shape[1]
     extremes = np.stack([extreme_point(j, candidates, ideal) for j in range(m)])
 
     valid, intercepts = hyperplane_intercepts(extremes, ideal)
@@ -191,5 +179,5 @@ def normalize(
             f"nadir={nadir.tolist()} after all fallbacks"
         )
 
-    new_state = replace(state, extremes=extremes, nadir=nadir)
-    return Normalizer(ideal=ideal.copy(), nadir=nadir), new_state
+    state = replace(state, extremes=extremes, nadir=nadir)
+    return (values - ideal) / (nadir - ideal), state

@@ -49,12 +49,11 @@ def pareto_front_3omm(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Problem:
-    """A benchmark instance: name, genome length, objective count, sense."""
+    """A maximization benchmark instance: name, genome length, objective count."""
 
     name: str
     n: int
     num_objectives: int
-    sense: str = "max"
 
     def evaluate(self, population: np.ndarray) -> np.ndarray:
         """Objective values, shape (size, M), for a (size, n) population."""

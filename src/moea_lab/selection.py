@@ -142,19 +142,17 @@ def niching_select(
     cand_refs: np.ndarray,
     cand_dists: np.ndarray,
     k: int,
-    refs: ReferencePointSet,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Pick ``k`` critical-front members by reference-point niching.
 
     ``selected_refs`` holds the reference indices of the already-selected
     individuals (their niche counts seed rho); ``cand_refs`` /
-    ``cand_dists`` describe the critical-front candidates, and ``refs`` is
-    the lattice both index into. Repeatedly takes an active reference point
-    of minimal niche count (ties uniform, in lattice order); if it still has
-    unselected candidates one is taken (the distance-minimal one while the
-    niche is empty, a uniform one afterwards) and its count incremented,
-    else the point is retired. Reference points with no candidates at all
+    ``cand_dists`` describe the critical-front candidates. Repeatedly takes
+    an active reference point of minimal niche count (ties uniform, in
+    lattice order); if it still has unselected candidates one is taken (the
+    distance-minimal one while the niche is empty, a uniform one afterwards)
+    and its count incremented, else the point is retired. Reference points with no candidates at all
     are retired up front; this does not change the distribution of
     outcomes, only skips the no-op visits.
 

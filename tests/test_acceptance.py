@@ -213,10 +213,10 @@ def test_criterion_7_normalization_oracle():
         values = prob.evaluate(random_population(50, n, rng)).astype(float)
         values[0] = [n, 0, 0]
         values[1] = [0, n // 2, n // 2]
-        normalizer, _ = normalize(NormalizationState(dim=3), values, [values])
+        nv, _ = normalize(NormalizationState(), values, [values])
         lo, hi = values.min(axis=0), values.max(axis=0)
         expected = (values - lo) / (hi - lo)
-        worst = max(worst, float(np.abs(normalizer(values) - expected).max()))
+        worst = max(worst, float(np.abs(nv - expected).max()))
     report(
         7,
         "full normalization equals min-max on 200 extreme-covering populations",

@@ -1,6 +1,10 @@
 import contextlib
 import csv
 import io
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +21,8 @@ from moea_lab.cli import (
     main,
     parse_sweep_spec,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -398,6 +404,54 @@ class TestBadInput:
             main(["run", "--help"])
         assert exit_info.value.code == 0
         assert "--pop-size" in capsys.readouterr().out
+
+
+def _cap_address_space():
+    # 2 GiB of address space: a request for tens of GiB is refused up front,
+    # so the children below never touch the memory they ask for
+    limit = 2 * 1024**3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestHugeAllocation:
+    """An allocation the system refuses exits 1 with one line, like any
+    runtime failure."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify", "--n", "4", "--p", "100000"], id="verify-lattice-37GiB"),
+            pytest.param(
+                ["run", "--n", "4", "--algo", "nsga3", "--pop-size", "9",
+                 "--divisions", "100000"],
+                id="run-lattice-37GiB",
+            ),
+            pytest.param(
+                ["run", "--n", "4", "--algo", "nsga2", "--pop-size", "10000000000"],
+                id="run-population-298GiB",
+            ),
+        ],
+    )
+    def test_exit_one_and_one_line(self, argv):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-m", "moea_lab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=_cap_address_space,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+    def test_empty_message_gets_a_text(self, capsys, monkeypatch):
+        def refuse(n, p):
+            raise MemoryError
+
+        monkeypatch.setattr("moea_lab.cli.verify_unique_association", refuse)
+        assert run_cli(capsys, "verify", "--n", "4", "--p", "10") == (
+            1, "", "error: out of memory\n"
+        )
 
 
 class TestJobs:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,37 @@ from moea_lab.problems import three_omm
 from conftest import PRINT_PEAK_KB
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def assert_best_fronts_survive(pre, post, cfg, prob, rng_state):
+    """Re-derive the fronts of the combined population the iteration from
+    ``pre`` to ``post`` ranked (its offspring drawn from ``rng_state``):
+    every front before the critical one survives whole, the rest come from
+    the critical front, and exactly ``pop_size`` individuals remain.
+    Returns the critical front's 0-based rank."""
+    replay = np.random.default_rng()
+    replay.bit_generator.state = rng_state
+    combined = np.concatenate([pre, make_offspring(pre, cfg, replay)])
+    fronts = fast_nondominated_sort(prob.evaluate(combined), "max")
+    # the critical front is the first one that brings the count to N
+    critical = int(np.searchsorted(np.cumsum([len(f) for f in fronts]), cfg.pop_size))
+
+    def genomes(rows):
+        return Counter(row.tobytes() for row in rows)
+
+    before = genomes(row for f in fronts[:critical] for row in combined[f])
+    through = genomes(row for f in fronts[: critical + 1] for row in combined[f])
+    assert post.shape == (cfg.pop_size, cfg.n)
+    assert before <= genomes(post) <= through
+    return critical
+
+
+class OneMaxTwice:
+    """Both objectives count ones, so each distinct count is its own front."""
+
+    def evaluate(self, population):
+        ones = population.sum(axis=1, dtype=np.int64)
+        return np.stack([ones, ones], axis=1)
 
 
 def config(**overrides):
@@ -160,13 +192,14 @@ class TestRun:
         rng = np.random.default_rng(cfg.seed)
         state = GenerationState(
             population=gn.random_population(cfg.pop_size, cfg.n, rng),
-            norm=NormalizationState(dim=3),
+            norm=NormalizationState(),
         )
         for _ in range(20):
-            stats = run_iteration(state, cfg, prob, refs, rng)
-            assert state.population.shape == (cfg.pop_size, cfg.n)
-            assert stats.critical_rank == 1  # 3-OMM: single front
-            assert 0 < stats.filled <= cfg.pop_size
+            pre = state.population.copy()
+            rng_state = rng.bit_generator.state
+            run_iteration(state, cfg, prob, refs, rng)
+            critical = assert_best_fronts_survive(pre, state.population, cfg, prob, rng_state)
+            assert critical == 0  # 3-OMM: single front
 
     def test_same_seed_identical_records(self):
         a = run_collect(config(max_iterations=30))
@@ -217,32 +250,28 @@ class TestRun:
             list(run_collect(bad))
 
     def test_critical_rank_defining_property(self, rng):
-        # sum of fronts before i* < N <= sum through i*
+        # fronts before i* survive whole, the rest of N comes from front i*;
+        # on OneMinMax every value is Pareto-optimal, so the ranked problem
+        # here has one front per distinct value
         from moea_lab.engine import run_iteration
         from moea_lab.normalization import NormalizationState
         from moea_lab import genome as gn
-        from moea_lab.problems import one_min_max
 
         cfg = config(problem="omm", n=12, pop_size=6, algorithm="nsga2", divisions=None)
-        prob = one_min_max(cfg.n)
+        prob = OneMaxTwice()
         state = GenerationState(
             population=gn.random_population(cfg.pop_size, cfg.n, rng),
-            norm=NormalizationState(dim=2),
+            norm=NormalizationState(),
         )
+        ranks = []
         for _ in range(20):
             pre = state.population.copy()
-            off_rng_state = rng.bit_generator.state
-            stats = run_iteration(state, cfg, prob, None, rng)
-            # re-derive fronts of the same combined population
-            rng2 = np.random.default_rng()
-            rng2.bit_generator.state = off_rng_state
-            offspring = make_offspring(pre, cfg, rng2)
-            values = prob.evaluate(np.concatenate([pre, offspring]))
-            fronts = fast_nondominated_sort(values, "max")
-            sizes = [len(f) for f in fronts]
-            before = sum(sizes[: stats.critical_rank - 1])
-            through = before + sizes[stats.critical_rank - 1]
-            assert before < cfg.pop_size <= through
+            rng_state = rng.bit_generator.state
+            run_iteration(state, cfg, prob, None, rng)
+            ranks.append(
+                assert_best_fronts_survive(pre, state.population, cfg, prob, rng_state)
+            )
+        assert max(ranks) > 0
 
 
 class TestPaperRegime:

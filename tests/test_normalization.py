@@ -15,24 +15,22 @@ from moea_lab.problems import pareto_front_3omm, three_omm
 
 class TestUpdateIdealAndWorst:
     def test_fresh_state_single_point(self):
-        state = update_ideal_and_worst(NormalizationState(dim=3), [[2, 1, 1]])
+        state = update_ideal_and_worst(NormalizationState(), [[2, 1, 1]])
         assert state.ideal.tolist() == [2, 1, 1]
         assert state.worst.tolist() == [2, 1, 1]
 
     def test_ideal_is_sticky(self):
-        state = NormalizationState(dim=3, ideal=np.zeros(3), worst=np.zeros(3))
+        state = NormalizationState(ideal=np.zeros(3), worst=np.zeros(3))
         state = update_ideal_and_worst(state, [[4, 0, 0]])
         assert state.ideal.tolist() == [0, 0, 0]
 
     def test_worst_componentwise_max(self):
-        state = NormalizationState(
-            dim=3, ideal=np.zeros(3), worst=np.array([3.0, 2.0, 2.0])
-        )
+        state = NormalizationState(ideal=np.zeros(3), worst=np.array([3.0, 2.0, 2.0]))
         state = update_ideal_and_worst(state, [[4, 0, 0], [0, 2, 2]])
         assert state.worst.tolist() == [4, 2, 2]
 
     def test_monotone_across_iterations(self, rng):
-        state = NormalizationState(dim=2)
+        state = NormalizationState()
         prev_ideal, prev_worst = None, None
         for _ in range(20):
             state = update_ideal_and_worst(state, rng.integers(0, 50, (8, 2)))
@@ -96,35 +94,48 @@ class TestHyperplaneIntercepts:
 class TestNormalize:
     def _full_front_state(self, n):
         front = pareto_front_3omm(n).astype(float)
-        state = NormalizationState(dim=3)
+        state = NormalizationState()
         return state, front
 
     def test_full_front_n4(self):
         state, front = self._full_front_state(4)
-        normalizer, state = normalize(state, front, [front])
+        nv, state = normalize(state, front, [front])
         assert state.ideal.tolist() == [0, 0, 0]
         assert state.nadir.tolist() == [4, 2, 2]
-        assert normalizer(np.array([[2, 1, 1]]))[0].tolist() == [0.5, 0.5, 0.5]
+        middle = front.tolist().index([2, 1, 1])
+        assert nv[middle].tolist() == [0.5, 0.5, 0.5]
 
     def test_unit_range_when_extremes_present(self, rng):
         n = 10
         values = three_omm(n).evaluate(random_population(40, n, rng)).astype(float)
         values[0] = [n, 0, 0]
         values[1] = [0, n // 2, n // 2]
-        normalizer, _ = normalize(NormalizationState(dim=3), values, [values])
-        nv = normalizer(values)
+        nv, _ = normalize(NormalizationState(), values, [values])
         assert np.allclose(nv.min(axis=0), 0.0, atol=1e-12)
         assert np.allclose(nv.max(axis=0), 1.0, atol=1e-12)
 
     def test_ideal_maps_to_zero(self, rng):
         values = rng.integers(0, 6, (20, 3)).astype(float)
-        normalizer, state = normalize(NormalizationState(dim=3), values, [values])
-        assert np.allclose(normalizer(state.ideal[None, :]), 0.0)
+        nv, state = normalize(NormalizationState(), values, [values])
+        # a fresh state's ideal is each objective's minimum over the values
+        assert np.array_equal(state.ideal, values.min(axis=0))
+        assert np.all(nv.min(axis=0) == 0.0)
+
+    def test_returns_values_under_the_states_map(self, rng):
+        # the returned values are (values - ideal) / (nadir - ideal) from the
+        # returned state, bit for bit, on integer input as the engine passes it
+        state = NormalizationState()
+        for _ in range(10):
+            values = rng.integers(0, 9, (30, 3))
+            nv, state = normalize(state, values, [values])
+            want = (values.astype(float) - state.ideal) / (state.nadir - state.ideal)
+            assert nv.dtype == np.float64
+            assert nv.tobytes() == want.tobytes()
 
     def test_degenerate_population_raises(self):
         values = np.tile([3.0, 3.0, 3.0], (5, 1))
         with pytest.raises(DegeneratePopulationError):
-            normalize(NormalizationState(dim=3), values, [values])
+            normalize(NormalizationState(), values, [values])
 
     def test_extremes_carried_between_calls(self):
         state, front = self._full_front_state(6)
@@ -149,8 +160,8 @@ class TestMinMaxEquivalence:
             # force the extremes into the population
             values[0] = [n, 0, 0]
             values[1] = [0, n // 2, n // 2]
-            normalizer, _ = normalize(NormalizationState(dim=3), values, [values])
+            nv, _ = normalize(NormalizationState(), values, [values])
             lo = values.min(axis=0)
             hi = values.max(axis=0)
             expected = (values - lo) / (hi - lo)
-            assert np.allclose(normalizer(values), expected, atol=1e-12)
+            assert np.allclose(nv, expected, atol=1e-12)

@@ -168,37 +168,30 @@ class TestAssociateMatchesDense:
 
 class TestNichingSelect:
     def test_whole_front_when_k_equals_size(self, rng):
-        refs = generate_reference_points(3, 2)
         cand_refs = np.array([0, 1, 2, 3])
         cand_dists = np.array([0.1, 0.2, 0.3, 0.4])
-        sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 4, refs, rng)
+        sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 4, rng)
         assert sorted(sel.tolist()) == [0, 1, 2, 3]
 
     def test_hand_simulation_two_slots(self):
         # a, b on r1 (distances 0.1, 0.2), c on r2 (0.3); k=2 -> {a, c}
-        refs = generate_reference_points(3, 1)
         cand_refs = np.array([1, 1, 2])
         cand_dists = np.array([0.1, 0.2, 0.3])
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            sel = niching_select(
-                np.array([], dtype=int), cand_refs, cand_dists, 2, refs, rng
-            )
+            sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 2, rng)
             assert sorted(sel.tolist()) == [0, 2]
 
     def test_single_point_distance_then_random(self):
         # one reference point holds everything: first pick is the closest,
         # the remaining picks are uniform among the rest
-        refs = generate_reference_points(3, 1)
         cand_refs = np.array([0, 0, 0, 0, 0])
         cand_dists = np.array([0.5, 0.1, 0.4, 0.3, 0.2])
         first = Counter()
         rest = Counter()
         for seed in range(600):
             rng = np.random.default_rng(seed)
-            sel = niching_select(
-                np.array([], dtype=int), cand_refs, cand_dists, 3, refs, rng
-            )
+            sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 3, rng)
             first[sel[0]] += 1
             rest.update(sel[1:].tolist())
         assert set(first) == {1}  # index of the 0.1 distance
@@ -208,24 +201,19 @@ class TestNichingSelect:
         assert counts.min() > 0.5 * counts.max()  # roughly uniform
 
     def test_k_too_large_rejected(self, rng):
-        refs = generate_reference_points(3, 1)
         with pytest.raises(ValueError):
-            niching_select(
-                np.array([], dtype=int), np.array([0]), np.array([0.1]), 2, refs, rng
-            )
+            niching_select(np.array([], dtype=int), np.array([0]), np.array([0.1]), 2, rng)
 
     def test_exactly_k_without_exceeding_multiplicity(self, rng):
-        refs = generate_reference_points(3, 3)
-        cand_refs = rng.integers(0, len(refs), 30)
+        cand_refs = rng.integers(0, 10, 30)
         cand_dists = rng.random(30)
-        sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 12, refs, rng)
+        sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 12, rng)
         assert len(sel) == 12
         assert len(set(sel.tolist())) == 12
 
     def test_every_occupied_point_keeps_a_survivor(self, rng):
         # when the occupied reference points number at most |Z_t| + k, each
         # keeps at least one associated individual among Z_t + selected
-        refs = generate_reference_points(3, 4)
         for trial in range(30):
             cand_refs = rng.integers(0, 10, 20)
             selected_refs = rng.permutation(15)[:5]  # distinct Z_t niches
@@ -233,20 +221,18 @@ class TestNichingSelect:
             k = len(set(cand_refs.tolist()) - set(selected_refs.tolist()))
             if k == 0:
                 continue
-            sel = niching_select(selected_refs, cand_refs, rng.random(20), k, refs, rng)
+            sel = niching_select(selected_refs, cand_refs, rng.random(20), k, rng)
             survivors = {int(cand_refs[i]) for i in sel} | set(selected_refs.tolist())
             assert occupied <= survivors
 
     def test_niche_counts_steer_selection(self, rng):
         # r0 already holds two selected individuals, r1 none: the single
         # slot must go to r1's candidate
-        refs = generate_reference_points(3, 1)
         sel = niching_select(
             selected_refs=np.array([0, 0]),
             cand_refs=np.array([0, 1]),
             cand_dists=np.array([0.0, 0.9]),
             k=1,
-            refs=refs,
             rng=rng,
         )
         assert sel.tolist() == [1]
@@ -261,9 +247,9 @@ def assert_same_picks(selected_refs, cand_refs, cand_dists, k, refs, seed):
     rng = np.random.default_rng(seed)
     oracle_rng = np.random.default_rng(seed)
     args = (np.asarray(selected_refs, dtype=np.int64), np.asarray(cand_refs),
-            np.asarray(cand_dists, dtype=float), k, refs)
+            np.asarray(cand_dists, dtype=float), k)
     got = niching_select(*args, rng)
-    want = loop_niching_select(*args, oracle_rng)
+    want = loop_niching_select(*args, refs, oracle_rng)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
