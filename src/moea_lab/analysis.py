@@ -5,11 +5,14 @@ floats. The lattice verifier enumerates the 3-OMM front, normalizes it by
 the plain min-max map, associates every value with its nearest reference
 line, and reports the exact angular quantities that make unique
 association provable (smallest angle between distinct front values versus
-twice the largest association angle).
+twice the largest association angle). The smallest pairwise angle does not
+depend on p; it is held for the last n asked, so a scan over p does only the
+p-dependent work (the lattice and the nearest-line search) per division.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,6 +115,23 @@ def _front_directions(n: int) -> np.ndarray:
     return (pareto_front_3omm(n) * np.array([1, 2, 2])).astype(float)
 
 
+@functools.lru_cache(maxsize=1)
+def _min_pairwise_angle(n: int) -> float:
+    """Smallest angle between two distinct normalized 3-OMM front values.
+
+    It does not depend on p, so it is held for the last n asked: a
+    minimal-p search takes it once for all the divisions it scans.
+    """
+    dirs = _front_directions(n)
+    smallest = math.inf
+    for start in range(0, len(dirs), _PAIR_BLOCK):
+        pairs = _angles(dirs[start : start + _PAIR_BLOCK, None, :], dirs[None, :, :])
+        rows = np.arange(pairs.shape[0])
+        pairs[rows, start + rows] = np.inf  # a value and itself
+        smallest = min(smallest, float(pairs.min()))
+    return smallest
+
+
 def verify_unique_association(n: int, p: int) -> AngleReport:
     """Check that every 3-OMM front value claims its own reference point.
 
@@ -130,13 +150,7 @@ def verify_unique_association(n: int, p: int) -> AngleReport:
     dirs = _front_directions(n)
     angle, index, tie = generate_reference_points(3, p).nearest(dirs)
     max_assoc_angle = float(angle.max())
-
-    min_pairwise_angle = math.inf
-    for start in range(0, len(dirs), _PAIR_BLOCK):
-        pairs = _angles(dirs[start : start + _PAIR_BLOCK, None, :], dirs[None, :, :])
-        rows = np.arange(pairs.shape[0])
-        pairs[rows, start + rows] = np.inf  # a value and itself
-        min_pairwise_angle = min(min_pairwise_angle, float(pairs.min()))
+    min_pairwise_angle = _min_pairwise_angle(n)
 
     _, claims = np.unique(index[tie], return_counts=True)
     return AngleReport(
@@ -153,9 +167,11 @@ def minimal_p_search(n: int, p_max: int, p_min: int = 1) -> MinimalPResult:
     """Smallest division count with zero association collisions.
 
     Linear scan over [p_min, p_max] (collision-freeness is not known to be
-    monotone in p, so no bisection). The reported lower bound ceil(n /
-    sqrt(2)) is the counting threshold below which there are fewer
-    reference points than front values.
+    monotone in p, so no bisection), one ``verify_unique_association`` per
+    division. The front's smallest pairwise angle is p-independent and held
+    for the last n, so it is computed once per search, not once per p. The
+    reported lower bound ceil(n / sqrt(2)) is the counting threshold below
+    which there are fewer reference points than front values.
     """
     if p_max < p_min or p_min < 1:
         raise ValueError(f"invalid division range [{p_min}, {p_max}]")

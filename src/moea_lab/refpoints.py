@@ -9,6 +9,7 @@ through the origin, or equivalently the angle between the vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -82,8 +83,9 @@ class ReferencePointSet:
 
         Each row v is projected onto the lattice's simplex as q = p v / sum(v),
         and only the lattice points in a small box around q are scored (see
-        ``_RADIUS``), so the work does not grow with the lattice. Angles come
-        from ``_angles``.
+        ``_RADIUS``), so the work does not grow with the lattice. The
+        candidates are held as one (rows x candidates) array per coordinate,
+        and their angles come from ``_plane_angles``.
 
         Returns ``(angle, index, tie)``. ``angle[i]`` is row i's smallest
         angle to a reference line. ``index[i]`` holds the lattice indices of
@@ -103,38 +105,52 @@ class ReferencePointSet:
             raise ValueError("values must have a positive sum")
 
         q = self.p * v[:, :-1] / total[:, None]
-        head = np.floor(q).astype(np.int64)[:, None, :] + _box_offsets(self.dim)
-        grid = np.concatenate([head, self.p - head.sum(axis=2, keepdims=True)], axis=2)
-        on_simplex = np.all(grid >= 0, axis=2)
+        floor = np.floor(q).astype(np.int64)
+        grid = [floor[:, i, None] + steps for i, steps in enumerate(_box_offsets(self.dim))]
+        grid.append(self.p - sum(grid))
+        on_simplex = functools.reduce(np.logical_and, [part >= 0 for part in grid])
         index = np.where(on_simplex, _lattice_index(grid, self.p), -1)
 
-        angle = _angles(v[:, None, :], grid.astype(float))
+        angle = _plane_angles(
+            [v[:, i, None] for i in range(self.dim)], [part.astype(float) for part in grid]
+        )
         angle[~on_simplex] = np.inf
         best = angle.min(axis=1)
         return best, index, angle <= best[:, None] * (1.0 + _TIE_RTOL)
 
 
 def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Angles between broadcast rows of ``a`` and ``b`` (last axis).
+    """Angles between broadcast rows of ``a`` and ``b`` (last axis)."""
+    dim = a.shape[-1]
+    return _plane_angles([a[..., i] for i in range(dim)], [b[..., i] for i in range(dim)])
+
+
+def _plane_angles(a: list, b: list) -> np.ndarray:
+    """Angles between vectors given as one broadcast array per coordinate.
 
     atan2(|a x b|, a . b), with |a x b| summed from the 2x2 minors
     a_i b_j - a_j b_i, so it stays accurate near 0 where arccos of a cosine
     loses half the digits, and products of integer-valued rows are exact.
+    Each coordinate is a plain array, so no pass runs over a short last axis.
     """
-    dim = a.shape[-1]
     cross = sum(
-        (a[..., i] * b[..., j] - a[..., j] * b[..., i]) ** 2
-        for i, j in itertools.combinations(range(dim), 2)
+        (a[i] * b[j] - a[j] * b[i]) ** 2
+        for i, j in itertools.combinations(range(len(a)), 2)
     )
-    dot = sum(a[..., i] * b[..., i] for i in range(dim))
+    dot = sum(a[i] * b[i] for i in range(len(a)))
     return np.arctan2(np.sqrt(cross), dot)
 
 
+@functools.cache
 def _box_offsets(dim: int) -> np.ndarray:
-    """Candidate offsets from floor(q) in the first dim - 1 coordinates,
-    lexicographic, so candidates come in lattice order."""
+    """Candidate offsets from floor(q) in the first dim - 1 coordinates, one
+    row per coordinate; the columns are lexicographic, so candidates come in
+    lattice order. Built once per dim (at most ``_MAX_NEAREST_DIM``) and
+    read-only."""
     steps = range(-_RADIUS, _RADIUS + 2)
-    return np.array(list(itertools.product(steps, repeat=dim - 1)), dtype=np.int64)
+    offsets = np.array(list(itertools.product(steps, repeat=dim - 1)), dtype=np.int64).T.copy()
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _binomial(m: np.ndarray, k: int) -> np.ndarray:
@@ -145,8 +161,9 @@ def _binomial(m: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _lattice_index(grid: np.ndarray, p: int) -> np.ndarray:
-    """Row index of each composition (last axis) in ``_compositions(p, M)``.
+def _lattice_index(grid: list, p: int) -> np.ndarray:
+    """Row index in ``_compositions(p, M)`` of compositions given as one
+    integer array per part.
 
     The compositions before x agree with it up to some part i and have a
     smaller part i; with r left for parts i.. and k = M - 1 - i parts after
@@ -154,12 +171,12 @@ def _lattice_index(grid: np.ndarray, p: int) -> np.ndarray:
     C(r + k, k) - C(r - x_i + k, k). Entries for points off the simplex are
     meaningless.
     """
-    dim = grid.shape[-1]
-    index = np.zeros(grid.shape[:-1], dtype=np.int64)
-    left = np.full(grid.shape[:-1], p, dtype=np.int64)
+    dim = len(grid)
+    index = np.zeros(grid[0].shape, dtype=np.int64)
+    left = np.full(grid[0].shape, p, dtype=np.int64)
     for i in range(dim - 1):
         k = dim - 1 - i
-        after = left - grid[..., i]
+        after = left - grid[i]
         index += _binomial(left + k, k) - _binomial(after + k, k)
         left = after
     return index

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from moea_lab.dominance import _distinct_rows
+from moea_lab.refpoints import _RADIUS, _TIE_RTOL, _binomial
 from moea_lab.selection import Association
 
 
@@ -86,6 +89,41 @@ def tuple_set_coverage(values, front) -> set[tuple[int, ...]]:
     front_set = {tuple(int(v) for v in row) for row in np.atleast_2d(front)}
     pop_set = {tuple(int(v) for v in row) for row in np.atleast_2d(values)}
     return pop_set & front_set
+
+
+def stacked_nearest(refs, values):
+    """Oracle: ``ReferencePointSet.nearest`` on (rows x candidates x M)
+    stacks, with every per-candidate pass over the short last axis. Reads only
+    ``refs.p`` and ``refs.dim``; expects valid rows."""
+    v = np.atleast_2d(np.asarray(values, dtype=float))
+    p, dim = refs.p, refs.dim
+    steps = range(-_RADIUS, _RADIUS + 2)
+    offsets = np.array(list(itertools.product(steps, repeat=dim - 1)), dtype=np.int64)
+    total = v.sum(axis=1)
+
+    q = p * v[:, :-1] / total[:, None]
+    head = np.floor(q).astype(np.int64)[:, None, :] + offsets
+    grid = np.concatenate([head, p - head.sum(axis=2, keepdims=True)], axis=2)
+    on_simplex = np.all(grid >= 0, axis=2)
+    index = np.zeros(grid.shape[:-1], dtype=np.int64)
+    left = np.full(grid.shape[:-1], p, dtype=np.int64)
+    for i in range(dim - 1):
+        k = dim - 1 - i
+        after = left - grid[..., i]
+        index += _binomial(left + k, k) - _binomial(after + k, k)
+        left = after
+    index = np.where(on_simplex, index, -1)
+
+    a, b = v[:, None, :], grid.astype(float)
+    cross = sum(
+        (a[..., i] * b[..., j] - a[..., j] * b[..., i]) ** 2
+        for i, j in itertools.combinations(range(dim), 2)
+    )
+    dot = sum(a[..., i] * b[..., i] for i in range(dim))
+    angle = np.arctan2(np.sqrt(cross), dot)
+    angle[~on_simplex] = np.inf
+    best = angle.min(axis=1)
+    return best, index, angle <= best[:, None] * (1.0 + _TIE_RTOL)
 
 
 def dense_associate(normalized, refs, rng) -> Association:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moea_lab import analysis
 from moea_lab.analysis import (
     ANGLE_SLACK,
     coverage,
@@ -22,6 +23,12 @@ from moea_lab.refpoints import _angles, generate_reference_points
 from conftest import PRINT_PEAK_KB, tuple_set_coverage
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# AngleReport fields at n in {2, 4, 8, 12, 16, 40}, p in {1, 7, ceil(4.65 n),
+# 21 n}, angles as float.hex; made by the verifier that took the pairwise
+# minimum inside every report and scored candidates on (rows x candidates x
+# 3) stacks
+ANGLE_REPORTS = Path(__file__).parent / "golden" / "angle_reports.csv"
 
 # p_min of minimal_p_search(n, 21 n) for even n, as the dense verifier found it
 P_MIN = {
@@ -202,6 +209,41 @@ class TestVerifyUniqueAssociation:
         # p=2 gives 6 reference points for 9 front values
         report = verify_unique_association(4, 2)
         assert report.collisions > 0
+
+
+class TestPairwiseMinimumCache:
+    def test_search_takes_the_minimum_once(self, monkeypatch):
+        # one front of 81 values is one row block; the scan reaches p = 20,
+        # so a minimum taken in every report would make 20 block calls
+        calls = []
+        angles = analysis._angles
+        monkeypatch.setattr(analysis, "_angles", lambda a, b: calls.append(1) or angles(a, b))
+        analysis._min_pairwise_angle.cache_clear()
+        assert minimal_p_search(16, 336).p_min == 20
+        assert len(calls) == 1
+
+    def test_reports_from_the_cache_equal_cold_ones(self):
+        analysis._min_pairwise_angle.cache_clear()
+        cases = [(8, 40), (8, 168), (16, 40), (8, 40), (16, 75), (16, 7)]
+        warm = [verify_unique_association(n, p) for n, p in cases]
+        assert analysis._min_pairwise_angle.cache_info().hits == 2
+        for (n, p), report in zip(cases, warm):
+            analysis._min_pairwise_angle.cache_clear()
+            assert verify_unique_association(n, p) == report
+
+    def test_reports_match_table(self):
+        lines = ANGLE_REPORTS.read_text().splitlines()
+        assert lines[0] == "n,p,min_pairwise_angle,max_assoc_angle,separated,collisions"
+        found = []
+        for line in lines[1:]:
+            n, p = map(int, line.split(",")[:2])
+            r = verify_unique_association(n, p)
+            found.append(
+                f"{r.n},{r.p},{r.min_pairwise_angle.hex()},{r.max_assoc_angle.hex()},"
+                f"{r.separated},{r.collisions}"
+            )
+        assert found == lines[1:]
+        assert len(found) == 24
 
 
 class TestMinimalPSearch:

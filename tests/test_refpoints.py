@@ -3,11 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from moea_lab import analysis
-from moea_lab.refpoints import _TIE_RTOL, generate_reference_points
+from moea_lab.problems import pareto_front_3omm
+from moea_lab.refpoints import (
+    _TIE_RTOL,
+    ReferencePointSet,
+    _box_offsets,
+    generate_reference_points,
+)
 
-from conftest import angle_between, perpendicular_distance
+from conftest import angle_between, perpendicular_distance, stacked_nearest
 
 
 def composition_count(total, parts):
@@ -246,3 +254,56 @@ class TestNearest:
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError):
             generate_reference_points(3, 4).nearest([(0.5, 0.5)])
+
+
+def lattice_free(dim, p):
+    """A reference set without its points: ``nearest`` reads only p and dim,
+    so large p in 4-6 dimensions costs nothing to build."""
+    return ReferencePointSet(points=np.empty((0, dim)), p=p, dim=dim)
+
+
+def assert_same_nearest(refs, rows):
+    angle, index, tie = refs.nearest(rows)
+    want_angle, want_index, want_tie = stacked_nearest(refs, rows)
+    assert angle.dtype == want_angle.dtype and angle.tobytes() == want_angle.tobytes()
+    assert index.dtype == want_index.dtype and np.array_equal(index, want_index)
+    assert np.array_equal(tie, want_tie)
+
+
+# a coordinate: zero, integer-valued, or any float up to 1e6
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(0, 1000).map(float),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def nearest_cases(draw):
+    dim = draw(st.integers(2, 6))
+    p = draw(st.integers(1, 840))
+    row = st.lists(COORDINATES, min_size=dim, max_size=dim).filter(lambda r: sum(r) > 0)
+    return dim, p, draw(st.lists(row, min_size=1, max_size=12))
+
+
+class TestPlaneWiseNearest:
+    @given(nearest_cases())
+    @example((3, 75, [[10.0, 6.0, 6.0], [0.625, 0.375, 0.375]]))  # n = 16 mirror tie
+    @example((6, 840, [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [1.0] * 6]))
+    @example((2, 1, [[0.0, 3.0], [5e-324, 1.0]]))
+    def test_matches_stacked_oracle(self, case):
+        dim, p, rows = case
+        assert_same_nearest(lattice_free(dim, p), np.array(rows))
+
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_matches_stacked_oracle_on_fronts(self, n):
+        dirs = (pareto_front_3omm(n) * np.array([1, 2, 2])).astype(float)
+        for p in (1, math.ceil(4.65 * n), 21 * n):
+            assert_same_nearest(generate_reference_points(3, p), dirs)
+
+    def test_box_offsets_built_once_and_read_only(self):
+        offsets = _box_offsets(4)
+        assert _box_offsets(4) is offsets
+        assert offsets.shape == (3, 6**3)
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 0
