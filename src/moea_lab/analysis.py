@@ -5,9 +5,11 @@ floats. The lattice verifier enumerates the 3-OMM front, normalizes it by
 the plain min-max map, associates every value with its nearest reference
 line, and reports the exact angular quantities that make unique
 association provable (smallest angle between distinct front values versus
-twice the largest association angle). The smallest pairwise angle does not
-depend on p; it is held for the last n asked, so a scan over p does only the
-p-dependent work (the lattice and the nearest-line search) per division.
+twice the largest association angle). The smallest pairwise angle comes from
+each front value's one-step neighbours in the (a, b) grid, so its cost is
+linear in the front. It does not depend on p; it is held for the last n
+asked, so a scan over p does only the p-dependent work (the lattice and the
+nearest-line search) per division.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import pareto_front_3omm
-from .refpoints import _angles, generate_reference_points
+from .problems import pareto_front_3omm, require_indexable, three_omm
+from .refpoints import _plane_angles, generate_reference_points
 
 __all__ = [
     "RunRecord",
@@ -34,10 +36,6 @@ __all__ = [
 Value = tuple[int, ...]
 
 ANGLE_SLACK = 1e-12
-
-# Rows of the front x front angle matrix held at once when taking its
-# minimum: memory grows with the front size U, not with U^2.
-_PAIR_BLOCK = 128
 
 
 @dataclass
@@ -115,21 +113,37 @@ def _front_directions(n: int) -> np.ndarray:
     return (pareto_front_3omm(n) * np.array([1, 2, 2])).astype(float)
 
 
+# Only one-step neighbours in the (a, b) grid can hold the front's smallest
+# pairwise angle. The directions u = (n - a - b, 2a, 2b) lie on the plane
+# x + y/2 + z/2 = n, at distance h = n sqrt(2/3) from the origin, and none is
+# longer than sqrt(2) n, so |w| / h <= sqrt(3). |u x w| is |u - w| times the
+# distance from the origin to the line through u and w, a line in that
+# plane, so |u x w| >= h |u - w|. Every u has a neighbour u + e with e a
+# step of one in a or in b, |e|^2 = 5, and
+# sin angle(u, u + e) = |(u + e) x e| / (|u| |u + e|) <= |e| / |u|. A pair
+# with |da| or |db| at least 2 has
+# |u - w|^2 = 5 da^2 + 2 da db + 5 db^2 >= 19.2 > 15 >= (|e| |w| / h)^2, so
+# sin angle(u, w) >= h |u - w| / (|u| |w|) > |e| / |u|. No angle exceeds
+# pi/2, as all coordinates are non-negative, so angle(u, w) is larger than
+# one of u's one-step angles, by a sine ratio of at least sqrt(19.2 / 15),
+# far beyond rounding. ``_plane_angles`` gives (u, w) and (w, u) the same
+# bits (a rounded product commutes and x - y rounds to -(y - x)), so the
+# minimum over neighbours equals the minimum over all pairs bit for bit.
 @functools.lru_cache(maxsize=1)
 def _min_pairwise_angle(n: int) -> float:
-    """Smallest angle between two distinct normalized 3-OMM front values.
+    """Smallest angle between two distinct normalized 3-OMM front values,
+    from each value's one-step neighbours, so linear in the front.
 
     It does not depend on p, so it is held for the last n asked: a
     minimal-p search takes it once for all the divisions it scans.
     """
-    dirs = _front_directions(n)
-    smallest = math.inf
-    for start in range(0, len(dirs), _PAIR_BLOCK):
-        pairs = _angles(dirs[start : start + _PAIR_BLOCK, None, :], dirs[None, :, :])
-        rows = np.arange(pairs.shape[0])
-        pairs[rows, start + rows] = np.inf  # a value and itself
-        smallest = min(smallest, float(pairs.min()))
-    return smallest
+    side = n // 2 + 1
+    grid = _front_directions(n).T.reshape(3, side, side)
+    # steps (0, 1), (1, -1), (1, 0) and (1, 1): each neighbour pair once
+    near = [(grid[:, :, :-1], grid[:, :, 1:]), (grid[:, :-1, 1:], grid[:, 1:, :-1]),
+            (grid[:, :-1], grid[:, 1:]), (grid[:, :-1, :-1], grid[:, 1:, 1:])]
+    u, w = (np.concatenate([pair[k].reshape(3, -1) for pair in near], axis=1) for k in (0, 1))
+    return float(_plane_angles(list(u), list(w)).min())
 
 
 def verify_unique_association(n: int, p: int) -> AngleReport:
@@ -142,10 +156,9 @@ def verify_unique_association(n: int, p: int) -> AngleReport:
     angle between two distinct normalized front values exceeds twice the
     largest value-to-reference angle, which forces zero collisions.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"3-OMM requires even n >= 2, got {n}")
     if p < 1:
         raise ValueError(f"divisions must be >= 1, got {p}")
+    require_indexable(three_omm(n), divisions=p)  # also checks n
 
     dirs = _front_directions(n)
     angle, index, tie = generate_reference_points(3, p).nearest(dirs)
@@ -168,14 +181,17 @@ def minimal_p_search(n: int, p_max: int, p_min: int = 1) -> MinimalPResult:
 
     Linear scan over [p_min, p_max] (collision-freeness is not known to be
     monotone in p, so no bisection), one ``verify_unique_association`` per
-    division. The front's smallest pairwise angle is p-independent and held
-    for the last n, so it is computed once per search, not once per p. The
+    division. The front's smallest pairwise angle, taken from one-step
+    neighbours in time linear in the front, is p-independent and held for
+    the last n, so it is computed once per search, not once per p. The
     reported lower bound ceil(n / sqrt(2)) is the counting threshold below
     which there are fewer reference points than front values.
     """
     if p_max < p_min or p_min < 1:
         raise ValueError(f"invalid division range [{p_min}, {p_max}]")
-    lower = math.ceil(n / math.sqrt(2))
+    # ceil(n / sqrt(2)) in integers, so no n is too large for a float: n / sqrt(2)
+    # is irrational, so this is the least k with 2 k^2 > n^2
+    lower = math.isqrt(n * n // 2) + 1
     for p in range(p_min, p_max + 1):
         if verify_unique_association(n, p).collisions == 0:
             return MinimalPResult(n=n, p_min=p, lower_bound=lower, p_searched_max=p_max)

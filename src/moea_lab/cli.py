@@ -14,7 +14,8 @@ the same inputs produce byte-identical CSVs.
 
 Exit codes: 0 success, 1 runtime/IO failure (a population with no spread
 in some objective, or an allocation the system refuses), 2 usage/config
-error; each failure prints one ``error:`` line on stderr.
+error, a size numpy cannot index included; each failure prints one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -204,14 +205,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_min_p(args) -> int:
     result = _usage_checked(minimal_p_search, args.n, p_max=args.p_max, p_min=args.p_min)
-    rows = [
-        [
-            result.n,
-            result.p_min if result.p_min is not None else "not-found",
-            result.lower_bound,
-            result.p_searched_max,
-        ]
-    ]
+    p_min = "not-found" if result.p_min is None else result.p_min
+    rows = [[result.n, p_min, result.lower_bound, result.p_searched_max]]
     _write_csv(args.out, ["n", "p_min", "lower_bound", "p_max_searched"], rows)
     return 0
 
@@ -281,10 +276,10 @@ def _expand_sweep(spec: dict, master_seed: int):
         return value
 
     def ceil_size(key, mult, base):
-        size = mult * base
-        if not math.isfinite(size):
-            raise UsageError(f"spec key {key!r}: {mult} x {base} is not a finite size")
-        return math.ceil(size)
+        try:  # an infinite product, or a base too large for a float
+            return math.ceil(mult * base)
+        except OverflowError as exc:
+            raise UsageError(f"spec key {key!r}: {mult} x {base} is not a finite size") from exc
 
     def get_list(key, convert):
         if key not in spec:
@@ -317,7 +312,7 @@ def _expand_sweep(spec: dict, master_seed: int):
     for problem, n, algo, chi, pop, div in itertools.product(
         problems, ns, algos, chis, pop_axis, div_axis
     ):
-        front_size = _usage_checked(make_problem, problem, n).front().shape[0]
+        front_size = _usage_checked(make_problem, problem, n).front_size
         if pop is None:
             pop_size = front_size
         elif pop_sizes:

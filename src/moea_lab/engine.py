@@ -19,7 +19,7 @@ from . import genome as gn
 from .analysis import RunRecord, coverage, detect_loss
 from .dominance import fast_nondominated_sort
 from .normalization import NormalizationState, normalize, update_ideal_and_worst
-from .problems import Problem, make_problem
+from .problems import Problem, make_problem, require_indexable
 from .refpoints import ReferencePointSet, generate_reference_points
 from .selection import associate, crowding_distance_select, niching_select
 
@@ -54,7 +54,7 @@ class RunConfig:
     run_id: str = "run0"
 
     def validate(self) -> None:
-        make_problem(self.problem, self.n)
+        problem = make_problem(self.problem, self.n)
         if self.pop_size < 1:
             raise ValueError(f"population size must be >= 1, got {self.pop_size}")
         if self.algorithm not in ("nsga2", "nsga3"):
@@ -72,6 +72,7 @@ class RunConfig:
             raise ValueError(f"max iterations must be >= 0, got {self.max_iterations}")
         if self.stop not in STOP_POLICIES:
             raise ValueError(f"stop policy must be one of {STOP_POLICIES}, got {self.stop!r}")
+        require_indexable(problem, self.pop_size, self.divisions)
 
     @property
     def effective_mutation_prob(self) -> float:
@@ -123,17 +124,10 @@ def _select_survivors(
 ) -> np.ndarray:
     """Indices (into the combined population) surviving this iteration."""
     size = config.pop_size
-    total = 0
-    i_star = 0
-    while total < size:
-        total += len(fronts[i_star])
-        i_star += 1
-    carried = (
-        np.concatenate(fronts[: i_star - 1])
-        if i_star > 1
-        else np.array([], dtype=np.int64)
-    )
-    critical = fronts[i_star - 1]
+    # the critical front is the first that brings the count to size
+    i_star = int(np.searchsorted(np.cumsum([len(f) for f in fronts]), size))
+    carried = np.concatenate([np.array([], dtype=np.int64), *fronts[:i_star]])
+    critical = fronts[i_star]
     pool = np.concatenate([carried, critical])
     k = size - carried.size
 

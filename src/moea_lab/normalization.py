@@ -153,10 +153,7 @@ def normalize(
     worst = state.worst
     eps = EPSILON_NADIR
 
-    if state.extremes is not None:
-        candidates = np.concatenate([values, state.extremes], axis=0)
-    else:
-        candidates = values
+    candidates = values if state.extremes is None else np.concatenate([values, state.extremes])
     m = values.shape[1]
     extremes = np.stack([extreme_point(j, candidates, ideal) for j in range(m)])
 

@@ -10,6 +10,7 @@ Two maximization benchmarks on bit strings of length ``n``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,11 @@ class Problem:
             return pareto_front_oneminmax(self.n)
         return pareto_front_3omm(self.n)
 
+    @property
+    def front_size(self) -> int:
+        """Number of front values, counted without enumerating them."""
+        return self.n + 1 if self.name == "omm" else (self.n // 2 + 1) ** 2
+
 
 def one_min_max(n: int) -> Problem:
     """The 2-objective OneMinMax benchmark."""
@@ -98,3 +104,17 @@ def make_problem(name: str, n: int) -> Problem:
     if name == "3omm":
         return three_omm(n)
     raise ValueError(f"unknown problem {name!r} (expected 'omm' or '3omm')")
+
+
+def require_indexable(problem: Problem, pop_size: int = 0, divisions: int | None = None) -> None:
+    """Refuse, before anything is built, an array numpy cannot index: one
+    generation's parent and offspring bits, the front, or the lattice of
+    C(p + M - 1, M - 1) points, all counted as Python ints. What numpy can
+    index but memory cannot hold is left to the allocator."""
+    dim = problem.num_objectives
+    sizes = {"population": 2 * pop_size * problem.n, "front": dim * problem.front_size}
+    if divisions is not None:
+        sizes["reference lattice"] = dim * math.comb(divisions + dim - 1, dim - 1)
+    for what, count in sizes.items():
+        if count > np.iinfo(np.intp).max:
+            raise ValueError(f"{what} of {count} elements is more than numpy can index")

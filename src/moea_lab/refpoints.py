@@ -119,12 +119,6 @@ class ReferencePointSet:
         return best, index, angle <= best[:, None] * (1.0 + _TIE_RTOL)
 
 
-def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Angles between broadcast rows of ``a`` and ``b`` (last axis)."""
-    dim = a.shape[-1]
-    return _plane_angles([a[..., i] for i in range(dim)], [b[..., i] for i in range(dim)])
-
-
 def _plane_angles(a: list, b: list) -> np.ndarray:
     """Angles between vectors given as one broadcast array per coordinate.
 

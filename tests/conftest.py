@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from moea_lab.dominance import _distinct_rows
-from moea_lab.refpoints import _RADIUS, _TIE_RTOL, _binomial
+from moea_lab.problems import pareto_front_3omm
+from moea_lab.refpoints import _RADIUS, _TIE_RTOL, _binomial, _plane_angles
 from moea_lab.selection import Association
 
 
@@ -124,6 +125,21 @@ def stacked_nearest(refs, values):
     angle[~on_simplex] = np.inf
     best = angle.min(axis=1)
     return best, index, angle <= best[:, None] * (1.0 + _TIE_RTOL)
+
+
+def exhaustive_min_pairwise_angle(n: int, block: int = 128) -> float:
+    """Oracle: smallest ``_plane_angles`` between any two distinct directions
+    of the scaled 3-OMM front (n - a - b, 2a, 2b), over all ordered pairs,
+    ``block`` rows at a time."""
+    dirs = pareto_front_3omm(n) * np.array([1.0, 2.0, 2.0])
+    smallest = np.inf
+    for start in range(0, len(dirs), block):
+        rows, cols = dirs[start : start + block, None, :], dirs[None, :, :]
+        pairs = _plane_angles([rows[..., i] for i in range(3)], [cols[..., i] for i in range(3)])
+        own = np.arange(pairs.shape[0])
+        pairs[own, start + own] = np.inf  # a value and itself
+        smallest = min(smallest, float(pairs.min()))
+    return smallest
 
 
 def dense_associate(normalized, refs, rng) -> Association:

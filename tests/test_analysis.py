@@ -18,9 +18,9 @@ from moea_lab.analysis import (
     verify_unique_association,
 )
 from moea_lab.problems import make_problem, pareto_front_3omm, three_omm
-from moea_lab.refpoints import _angles, generate_reference_points
+from moea_lab.refpoints import generate_reference_points
 
-from conftest import PRINT_PEAK_KB, tuple_set_coverage
+from conftest import PRINT_PEAK_KB, exhaustive_min_pairwise_angle, tuple_set_coverage
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -177,13 +177,30 @@ class TestVerifyUniqueAssociation:
         assert report.separated
         assert report.max_assoc_angle <= math.acos(1 - 18 / p**2)
 
-    @pytest.mark.parametrize("n", [22, 30, 50])
+    @pytest.mark.parametrize("n", [*range(2, 65, 2), 128])
     def test_min_pairwise_angle_matches_whole_matrix(self, n):
-        # 144, 256 and 676 front values: one, two and several row blocks
-        dirs = pareto_front_3omm(n) * np.array([1.0, 2.0, 2.0])
-        pairs = _angles(dirs[:, None, :], dirs[None, :, :])
-        np.fill_diagonal(pairs, np.inf)
-        assert verify_unique_association(n, 5).min_pairwise_angle == pairs.min()
+        # the one-step neighbour minimum is the minimum over all pairs, bit
+        # for bit
+        assert verify_unique_association(n, 5).min_pairwise_angle == (
+            exhaustive_min_pairwise_angle(n)
+        )
+
+    def test_min_pairwise_angle_at_n1024(self):
+        # 263,169 front values: 250 times the pairs of n = 256, where the
+        # all-pairs scan already takes seconds
+        n = 1024
+        code = (
+            "from moea_lab.analysis import _min_pairwise_angle\n"
+            f"print(_min_pairwise_angle({n}).hex())\n" + PRINT_PEAK_KB
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        angle, peak_kb = result.stdout.split()
+        assert float.fromhex(angle) >= math.acos(1 - 1 / (6 * n**2)) - ANGLE_SLACK
+        assert int(peak_kb) < 250 * 1024
 
     def test_memory_bounded_at_n128(self):
         # 4,225 front values against 3,616,705 reference points; a whole
@@ -212,15 +229,11 @@ class TestVerifyUniqueAssociation:
 
 
 class TestPairwiseMinimumCache:
-    def test_search_takes_the_minimum_once(self, monkeypatch):
-        # one front of 81 values is one row block; the scan reaches p = 20,
-        # so a minimum taken in every report would make 20 block calls
-        calls = []
-        angles = analysis._angles
-        monkeypatch.setattr(analysis, "_angles", lambda a, b: calls.append(1) or angles(a, b))
+    def test_search_takes_the_minimum_once(self):
+        # the scan reaches p = 20: 20 reports, one minimum
         analysis._min_pairwise_angle.cache_clear()
         assert minimal_p_search(16, 336).p_min == 20
-        assert len(calls) == 1
+        assert analysis._min_pairwise_angle.cache_info().misses == 1
 
     def test_reports_from_the_cache_equal_cold_ones(self):
         analysis._min_pairwise_angle.cache_clear()

@@ -377,6 +377,46 @@ class TestBadInput:
                 BASE_SPEC.replace("algo = nsga2", "algo = nsga3") + "div_mult = 1e308\n", 2,
                 id="spec-div-mult-overflows",
             ),
+            # sizes no numpy array can index are refused before anything is built
+            pytest.param(
+                ["verify", "--n", "4", "--p", "99999999999999999999"],
+                None, 2, id="verify-p-past-int64",
+            ),
+            pytest.param(
+                ["verify-min-p", "--n", "4", "--p-min", "99999999999999999990",
+                 "--p-max", "99999999999999999999"],
+                None, 2, id="min-p-range-past-int64",
+            ),
+            pytest.param(
+                ["run", "--n", "4", "--algo", "nsga3", "--pop-size", "9",
+                 "--divisions", "99999999999999999999", "--iterations", "1"],
+                None, 2, id="run-divisions-past-int64",
+            ),
+            pytest.param(
+                ["run", "--n", "4", "--algo", "nsga3", "--pop-size", "9",
+                 "--divisions", "4611686018427387904", "--iterations", "1"],
+                None, 2, id="run-lattice-past-intp",
+            ),
+            pytest.param(
+                ["run", "--n", "4", "--algo", "nsga2", "--pop-size", "4611686018427387904",
+                 "--iterations", "1"],
+                None, 2, id="run-population-past-intp",
+            ),
+            pytest.param(
+                ["run", "--n", "4611686018427387904", "--algo", "nsga2", "--pop-size", "9",
+                 "--iterations", "1"],
+                None, 2, id="run-genome-past-intp",
+            ),
+            pytest.param(
+                ["verify-min-p", "--n", "1" + "0" * 400, "--p-max", "5"],
+                None, 2, id="min-p-n-past-float",
+            ),
+            pytest.param(
+                ["sweep"],
+                BASE_SPEC.replace("n = 4", "n = 1" + "0" * 400)
+                .replace("algo = nsga2", "algo = nsga3") + "div_mult = 2\n",
+                2, id="spec-n-past-float",
+            ),
         ],
     )
     def test_exit_code_and_one_line(self, capsys, tmp_path, argv, spec, code):
