@@ -8,8 +8,8 @@ association provable (smallest angle between distinct front values versus
 twice the largest association angle). The smallest pairwise angle comes from
 each front value's one-step neighbours in the (a, b) grid, so its cost is
 linear in the front. It does not depend on p; it is held for the last n
-asked, so a scan over p does only the p-dependent work (the lattice and the
-nearest-line search) per division.
+asked, so a scan over p does only the p-dependent work, the nearest-line
+search, which reads only p: no lattice is built.
 """
 
 from __future__ import annotations
@@ -161,11 +161,11 @@ def verify_unique_association(n: int, p: int) -> AngleReport:
     require_indexable(three_omm(n), divisions=p)  # also checks n
 
     dirs = _front_directions(n)
-    angle, index, tie = generate_reference_points(3, p).nearest(dirs)
+    angle, _, index = generate_reference_points(3, p).nearest(dirs)
     max_assoc_angle = float(angle.max())
     min_pairwise_angle = _min_pairwise_angle(n)
 
-    _, claims = np.unique(index[tie], return_counts=True)
+    _, claims = np.unique(index, return_counts=True)
     return AngleReport(
         n=n,
         p=p,

@@ -168,6 +168,8 @@ def _run_rows(task) -> list[list]:
 
 
 def _execute_tasks(tasks, jobs: int) -> list[list[list]]:
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         with Pool(processes=jobs) as pool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +48,8 @@ _TIE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class ReferencePointSet:
-    """Immutable lattice of reference points on the unit simplex."""
+    """Immutable lattice of reference points on the unit simplex, given by p and dim alone."""
 
-    points: np.ndarray  # (count, M), lexicographically sorted
     p: int
     dim: int
     _unit_points: np.ndarray | None = field(
@@ -62,7 +62,12 @@ class ReferencePointSet:
     )
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return math.comb(self.p + self.dim - 1, self.dim - 1)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (count, M) lattice in lexicographic order, built anew on every read."""
+        return _compositions(self.p, self.dim) / float(self.p)
 
     @property
     def unit_points(self) -> np.ndarray:
@@ -70,10 +75,11 @@ class ReferencePointSet:
 
         Computed on first access and kept, read-only: the engine asks for
         them every generation, while the verifier never does and so never
-        holds a second copy of its lattice.
+        builds the lattice.
         """
         if self._unit_points is None:
-            units = self.points / np.linalg.norm(self.points, axis=1, keepdims=True)
+            points = self.points
+            units = points / np.linalg.norm(points, axis=1, keepdims=True)
             units.flags.writeable = False
             object.__setattr__(self, "_unit_points", units)
         return self._unit_points
@@ -87,11 +93,11 @@ class ReferencePointSet:
         candidates are held as one (rows x candidates) array per coordinate,
         and their angles come from ``_plane_angles``.
 
-        Returns ``(angle, index, tie)``. ``angle[i]`` is row i's smallest
-        angle to a reference line. ``index[i]`` holds the lattice indices of
-        its candidates in increasing order, -1 for box points off the simplex.
-        ``tie[i]`` marks row i's tie set: the candidates whose angle is within
-        a relative ``_TIE_RTOL`` of ``angle[i]``.
+        Returns ``(angle, row, index)``. ``angle[i]`` is row i's smallest
+        angle to a reference line. Each ``(row[j], index[j])`` is a tie entry:
+        the angle between that row and lattice point ``index[j]`` is within a
+        relative ``_TIE_RTOL`` of the row's smallest. Rows ascend, and within
+        a row points are in lattice order.
         """
         v = np.atleast_2d(np.asarray(values, dtype=float))
         if v.ndim != 2 or v.shape[1] != self.dim:
@@ -109,14 +115,14 @@ class ReferencePointSet:
         grid = [floor[:, i, None] + steps for i, steps in enumerate(_box_offsets(self.dim))]
         grid.append(self.p - sum(grid))
         on_simplex = functools.reduce(np.logical_and, [part >= 0 for part in grid])
-        index = np.where(on_simplex, _lattice_index(grid, self.p), -1)
 
         angle = _plane_angles(
             [v[:, i, None] for i in range(self.dim)], [part.astype(float) for part in grid]
         )
         angle[~on_simplex] = np.inf
         best = angle.min(axis=1)
-        return best, index, angle <= best[:, None] * (1.0 + _TIE_RTOL)
+        row, col = np.nonzero(angle <= best[:, None] * (1.0 + _TIE_RTOL))
+        return best, row, _lattice_index([part[row, col] for part in grid], self.p)
 
 
 def _plane_angles(a: list, b: list) -> np.ndarray:
@@ -162,8 +168,7 @@ def _lattice_index(grid: list, p: int) -> np.ndarray:
     The compositions before x agree with it up to some part i and have a
     smaller part i; with r left for parts i.. and k = M - 1 - i parts after
     it, they number sum over t < x_i of C(r - t + k - 1, k - 1), which is
-    C(r + k, k) - C(r - x_i + k, k). Entries for points off the simplex are
-    meaningless.
+    C(r + k, k) - C(r - x_i + k, k). Every part must be non-negative.
     """
     dim = len(grid)
     index = np.zeros(grid[0].shape, dtype=np.int64)
@@ -195,16 +200,9 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 
 def generate_reference_points(dim: int, p: int) -> ReferencePointSet:
-    """Lattice with ``p`` divisions in ``dim`` objectives.
-
-    Enumerates integer compositions of p into dim parts and divides by p,
-    so coordinates are exact (up to one float division each) and the count
-    is exactly C(p + dim - 1, dim - 1).
-    """
+    """Lattice with ``p`` divisions in ``dim`` objectives; its points are built when read."""
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
     if p < 1:
         raise ValueError(f"divisions must be >= 1, got {p}")
-    grid = _compositions(p, dim)
-    return ReferencePointSet(points=grid / float(p), p=p, dim=dim)
-
+    return ReferencePointSet(p=p, dim=dim)

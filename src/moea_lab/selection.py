@@ -99,8 +99,6 @@ def associate(
     normalized = np.atleast_2d(np.asarray(normalized, dtype=float))
     if not np.all(np.isfinite(normalized)):
         raise ValueError("normalized objective values must be finite")
-    if len(refs) == 0:
-        raise ValueError("reference point set must be non-empty")
 
     uniq, inverse = _distinct_rows(normalized)
     units = refs.unit_points  # (R, M)

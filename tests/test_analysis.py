@@ -20,7 +20,12 @@ from moea_lab.analysis import (
 from moea_lab.problems import make_problem, pareto_front_3omm, three_omm
 from moea_lab.refpoints import generate_reference_points
 
-from conftest import PRINT_PEAK_KB, exhaustive_min_pairwise_angle, tuple_set_coverage
+from conftest import (
+    PRINT_PEAK_KB,
+    exhaustive_min_pairwise_angle,
+    stacked_nearest,
+    tuple_set_coverage,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -152,7 +157,7 @@ class TestVerifyUniqueAssociation:
         dirs = pareto_front_3omm(n) * np.array([1, 2, 2])
         checked = 0
         for p in range(1, 21 * n + 1):
-            _, index, tie = generate_reference_points(3, p).nearest(dirs)
+            _, index, tie = stacked_nearest(generate_reference_points(3, p), dirs)
             if np.all(tie.sum(axis=1) == 1):
                 occupied = len(np.unique(index[tie]))
                 assert verify_unique_association(n, p).collisions == len(dirs) - occupied
@@ -164,8 +169,9 @@ class TestVerifyUniqueAssociation:
         # the mirror images (34, 20, 21)/75 and (34, 21, 20)/75
         n, p = 16, math.ceil(4.65 * 16)
         refs = generate_reference_points(3, p)
-        _, index, tie = refs.nearest([(0.625, 0.375, 0.375)])
-        held = {tuple(np.round(refs.points[i] * p).astype(int)) for i in index[0][tie[0]]}
+        _, index, tie = stacked_nearest(refs, [(0.625, 0.375, 0.375)])
+        points = refs.points
+        held = {tuple(np.round(points[i] * p).astype(int)) for i in index[tie]}
         assert held == {(34, 20, 21), (34, 21, 20)}
         assert verify_unique_association(n, p).collisions == 0
 
@@ -202,12 +208,12 @@ class TestVerifyUniqueAssociation:
         assert float.fromhex(angle) >= math.acos(1 - 1 / (6 * n**2)) - ANGLE_SLACK
         assert int(peak_kb) < 250 * 1024
 
-    def test_memory_bounded_at_n128(self):
-        # 4,225 front values against 3,616,705 reference points; a whole
-        # front x front angle matrix alone would take 143 MB per temporary
+    def test_memory_bounded_at_n256(self):
+        # 16,641 front values against 14,458,753 reference points: the
+        # lattice alone would take 347 MB, a front x front angle matrix 2.2 GB
         code = (
             "from moea_lab.analysis import verify_unique_association\n"
-            "assert verify_unique_association(128, 2688).collisions == 0\n"
+            "assert verify_unique_association(256, 5376).collisions == 0\n"
             + PRINT_PEAK_KB
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
@@ -215,7 +221,7 @@ class TestVerifyUniqueAssociation:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert int(result.stdout) < 300 * 1024  # kB
+        assert int(result.stdout) < 150 * 1024  # kB
 
     @pytest.mark.parametrize("p", [6, 42])
     def test_lattice_line_hits_are_exact(self, p):

@@ -338,6 +338,11 @@ class TestBadInput:
                 ["run", "--n", "2", "--algo", "nsga3", "--pop-size", "1", "--divisions", "1"],
                 None, 1, id="run-degenerate-population",
             ),
+            pytest.param(
+                ["run", "--n", "4", "--algo", "nsga2", "--pop-size", "5", "--jobs", "-3"],
+                None, 2, id="run-negative-jobs",
+            ),
+            pytest.param(["sweep", "--jobs", "0"], BASE_SPEC, 2, id="sweep-zero-jobs"),
             pytest.param(["sweep"], BASE_SPEC + "seeds = 0\n", 2, id="spec-zero-seeds"),
             pytest.param(["sweep"], BASE_SPEC + "seeds = -2\n", 2, id="spec-negative-seeds"),
             pytest.param(["sweep"], BASE_SPEC + "seeds = x\n", 2, id="spec-seeds-not-a-number"),
@@ -453,14 +458,22 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _run_capped(argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "moea_lab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+
+
 class TestHugeAllocation:
     """An allocation the system refuses exits 1 with one line, like any
-    runtime failure."""
+    runtime failure; the verifier asks for none."""
 
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(["verify", "--n", "4", "--p", "100000"], id="verify-lattice-37GiB"),
             pytest.param(
                 ["run", "--n", "4", "--algo", "nsga3", "--pop-size", "9",
                  "--divisions", "100000"],
@@ -473,16 +486,19 @@ class TestHugeAllocation:
         ],
     )
     def test_exit_one_and_one_line(self, argv):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
-        done = subprocess.run(
-            [sys.executable, "-m", "moea_lab.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-            preexec_fn=_cap_address_space,
-        )
+        done = _run_capped(argv)
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
+
+    def test_verify_builds_no_lattice(self):
+        # the p = 100,000 lattice would take 37 GiB; the verifier reads only p
+        done = _run_capped(["verify", "--n", "4", "--p", "100000"])
+        assert done.returncode == 0, done.stderr
+        header, *rows = done.stdout.splitlines()
+        assert header.split(",") == VERIFY_COLUMNS
+        assert len(rows) == 1 and rows[0].split(",")[-2:] == ["true", "0"]
 
     def test_empty_message_gets_a_text(self, capsys, monkeypatch):
         def refuse(n, p):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from moea_lab import analysis
+from moea_lab import analysis, refpoints
 from moea_lab.problems import pareto_front_3omm
 from moea_lab.refpoints import (
     _TIE_RTOL,
@@ -65,6 +65,13 @@ class TestGeneration:
         assert len(refs) == 6
         assert (0.5, 0.5, 0.0) in {tuple(p) for p in refs.points}
 
+    def test_equal_sets_compare_and_hash_equal(self):
+        refs = generate_reference_points(3, 4)
+        assert refs == ReferencePointSet(p=4, dim=3)
+        assert hash(refs) == hash(ReferencePointSet(p=4, dim=3))
+        assert refs != generate_reference_points(3, 5)
+        assert len({refs, ReferencePointSet(p=4, dim=3)}) == 1
+
     def test_zero_divisions_rejected(self):
         with pytest.raises(ValueError):
             generate_reference_points(3, 0)
@@ -103,15 +110,15 @@ class TestGeneration:
     @pytest.mark.parametrize("p", [1, 2, 5, 17, 50, 200])
     def test_adjacent_lattice_distance(self, p):
         # neighbors along one exchange move sit sqrt(2)/p apart
-        refs = generate_reference_points(3, p)
-        index = {tuple(np.round(r * p).astype(int)): i for i, r in enumerate(refs.points)}
+        points = generate_reference_points(3, p).points
+        index = {tuple(np.round(r * p).astype(int)): i for i, r in enumerate(points)}
         side = math.sqrt(2) / p
         checked = 0
         for key in index:
             a, b, c = key
             if a > 0:
                 neighbor = (a - 1, b + 1, c)
-                d = np.linalg.norm(refs.points[index[key]] - refs.points[index[neighbor]])
+                d = np.linalg.norm(points[index[key]] - points[index[neighbor]])
                 assert abs(d - side) < 1e-12
                 checked += 1
         assert checked > 0
@@ -127,17 +134,15 @@ class TestUnitPoints:
         expected = np.array([row / np.linalg.norm(row) for row in refs.points])
         np.testing.assert_allclose(units, expected, rtol=4 * np.finfo(float).eps, atol=0)
 
-    def test_verifier_leaves_cache_empty(self, monkeypatch):
-        built = []
+    def test_verifier_builds_no_lattice(self, monkeypatch):
+        expected = analysis.verify_unique_association(8, 40), analysis.minimal_p_search(8, 20)
 
-        def recording(dim, p):
-            built.append(generate_reference_points(dim, p))
-            return built[-1]
+        def refuse(total, parts):
+            raise AssertionError("the verifier built a lattice")
 
-        monkeypatch.setattr(analysis, "generate_reference_points", recording)
-        analysis.verify_unique_association(8, 40)
-        analysis.minimal_p_search(8, p_max=20)
-        assert built and all(refs._unit_points is None for refs in built)
+        monkeypatch.setattr(refpoints, "_compositions", refuse)
+        got = analysis.verify_unique_association(8, 40), analysis.minimal_p_search(8, 20)
+        assert got == expected
 
 
 class TestPerpendicularDistance:
@@ -179,21 +184,15 @@ class TestNearestCriterionEquivalence:
     def test_angle_and_perpendicular_agree(self, rng):
         # nearest-by-angle equals nearest-by-perpendicular-distance for
         # non-negative vectors
-        refs = generate_reference_points(3, 7)
+        points = generate_reference_points(3, 7).points
         for _ in range(200):
             v = rng.random(3)
             if np.linalg.norm(v) < 1e-9:
                 continue
-            by_dist = min(
-                range(len(refs)),
-                key=lambda i: perpendicular_distance(v, refs.points[i]),
-            )
-            by_angle = min(
-                range(len(refs)),
-                key=lambda i: angle_between(v, refs.points[i]),
-            )
-            d_dist = perpendicular_distance(v, refs.points[by_dist])
-            d_angle = perpendicular_distance(v, refs.points[by_angle])
+            by_dist = min(points, key=lambda r: perpendicular_distance(v, r))
+            by_angle = min(points, key=lambda r: angle_between(v, r))
+            d_dist = perpendicular_distance(v, by_dist)
+            d_angle = perpendicular_distance(v, by_angle)
             assert abs(d_dist - d_angle) < 1e-12
 
 
@@ -222,11 +221,12 @@ class TestNearest:
     def test_matches_brute_force(self, rng, dim, p):
         refs = generate_reference_points(dim, p)
         rows = sample_rows(rng, dim, 40)
-        angle, index, tie = refs.nearest(rows)
+        assert_same_nearest(refs, rows)
+        angle, row, index = refs.nearest(rows)
         ties_seen = 0
-        for v, a, idx, t in zip(rows, angle, index, tie):
+        for i, (v, a) in enumerate(zip(rows, angle)):
             d_min, expected = brute_force_nearest(refs, v)
-            assert set(idx[t]) == expected
+            assert set(index[row == i]) == expected
             assert a == pytest.approx(math.asin(min(d_min / np.linalg.norm(v), 1.0)), abs=1e-12)
             ties_seen += len(expected) > 1
         if dim == 3 and p > 1:  # mirrored rows tie
@@ -234,16 +234,19 @@ class TestNearest:
 
     def test_candidates_in_lattice_order(self, rng):
         refs = generate_reference_points(3, 20)
-        _, index, _ = refs.nearest(rng.random((50, 3)))
-        for row in index:
-            on_simplex = row[row >= 0]
-            assert np.all(np.diff(on_simplex) > 0)
+        rows = sample_rows(rng, 3, 50)
+        _, row, index = refs.nearest(rows)
+        assert np.all(np.diff(row) >= 0)
+        assert np.all(np.diff(index)[np.diff(row) == 0] > 0)
+        assert set(row.tolist()) == set(range(len(rows)))
 
     def test_lattice_hit_has_zero_angle(self):
         refs = generate_reference_points(3, 12)
-        angle, index, tie = refs.nearest(refs.points * 12)
+        rows = refs.points * 12
+        assert_same_nearest(refs, rows)
+        angle, row, index = refs.nearest(rows)
         assert np.all(angle == 0.0)
-        assert [row[t].tolist() for row, t in zip(index, tie)] == [[i] for i in range(len(refs))]
+        assert row.tolist() == index.tolist() == list(range(len(refs)))
 
     @pytest.mark.parametrize("row", [(0.2, -0.1, 0.9), (0.0, 0.0, 0.0), (np.nan, 0.1, 0.1)])
     def test_invalid_rows_rejected(self, row):
@@ -256,18 +259,12 @@ class TestNearest:
             generate_reference_points(3, 4).nearest([(0.5, 0.5)])
 
 
-def lattice_free(dim, p):
-    """A reference set without its points: ``nearest`` reads only p and dim,
-    so large p in 4-6 dimensions costs nothing to build."""
-    return ReferencePointSet(points=np.empty((0, dim)), p=p, dim=dim)
-
-
 def assert_same_nearest(refs, rows):
-    angle, index, tie = refs.nearest(rows)
+    angle, row, index = refs.nearest(rows)
     want_angle, want_index, want_tie = stacked_nearest(refs, rows)
     assert angle.dtype == want_angle.dtype and angle.tobytes() == want_angle.tobytes()
-    assert index.dtype == want_index.dtype and np.array_equal(index, want_index)
-    assert np.array_equal(tie, want_tie)
+    assert np.array_equal(row, np.nonzero(want_tie)[0])
+    assert index.dtype == want_index.dtype and np.array_equal(index, want_index[want_tie])
 
 
 # a coordinate: zero, integer-valued, or any float up to 1e6
@@ -293,7 +290,7 @@ class TestPlaneWiseNearest:
     @example((2, 1, [[0.0, 3.0], [5e-324, 1.0]]))
     def test_matches_stacked_oracle(self, case):
         dim, p, rows = case
-        assert_same_nearest(lattice_free(dim, p), np.array(rows))
+        assert_same_nearest(generate_reference_points(dim, p), np.array(rows))
 
     @pytest.mark.parametrize("n", range(2, 41, 2))
     def test_matches_stacked_oracle_on_fronts(self, n):
