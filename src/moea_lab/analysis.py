@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dominance import _box_codes
 from .problems import pareto_front_3omm, require_indexable, three_omm
 from .refpoints import _plane_angles, generate_reference_points
 
@@ -84,18 +85,21 @@ def coverage(values: np.ndarray, front: np.ndarray) -> set[Value]:
     """Front values represented in a population (exact integer match).
 
     Rows are matched as mixed-radix integer codes over the front's bounding
-    box, so tuples are built only for the covered front values and memory
-    stays linear in the population plus the front, whatever the box's
-    volume.
+    box (``_box_codes``, one column at a time), so tuples are built only for
+    the covered front values and memory stays linear in the population plus
+    the front; a box too large for int64 codes is matched as tuple sets.
     """
     front = np.atleast_2d(front).astype(np.int64)
     values = np.atleast_2d(values).astype(np.int64)
-    lo, hi = front.min(axis=0), front.max(axis=0)
-    radix = hi - lo + 1
-    place = np.concatenate([np.cumprod(radix[:0:-1])[::-1], [1]])
-    in_box = np.all((values >= lo) & (values <= hi), axis=1)
-    pop_codes = (values[in_box] - lo) @ place
-    covered = front[np.isin((front - lo) @ place, pop_codes)]
+    lo, hi = [c.min() for c in front.T], [c.max() for c in front.T]
+    in_box = np.ones(len(values), dtype=bool)
+    for column, low, high in zip(values.T, lo, hi):
+        in_box &= (column >= low) & (column <= high)
+    front_codes = _box_codes(front.T, lo, hi)
+    if front_codes is None:
+        return set(map(tuple, front.tolist())) & set(map(tuple, values.tolist()))
+    pop_codes = _box_codes([c[in_box] for c in values.T], lo, hi)
+    covered = front[np.isin(front_codes, pop_codes)]
     return set(map(tuple, covered.tolist()))
 
 

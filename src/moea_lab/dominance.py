@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["fast_nondominated_sort"]
@@ -20,29 +22,27 @@ def fast_nondominated_sort(values, sense: str = "min") -> list[np.ndarray]:
     computed once per distinct value (``_distinct_rows``) and broadcast to
     duplicates. The U distinct values are peeled layer by layer with the
     classic O(M * U^2) domination-count scheme; the strict-domination matrix
-    is built one objective at a time, so no (U, U, M) temporary exists. A
-    Kung/Jensen sweep would take O(U log U) for M <= 3, but on OneMinMax and
-    3-OMM every value is Pareto-optimal, so U is at most the front size
-    (441 for 3-OMM at n = 40) and the peeling ends after one layer.
+    is built one objective at a time, compared in ``sense``'s direction (no
+    negation, which would wrap unsigned values), so no (U, U, M) temporary
+    exists. A Kung/Jensen sweep would take O(U log U) for M <= 3, but on
+    OneMinMax and 3-OMM every value is Pareto-optimal, so U is at most the
+    front size (441 for 3-OMM at n = 40) and the peeling ends after one layer.
     """
     values = np.atleast_2d(np.asarray(values))
     if values.shape[0] == 0:
         raise ValueError("population must be non-empty")
-    if sense == "max":
-        work = -values
-    elif sense == "min":
-        work = values
-    else:
+    if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    at_least_as_good = np.less_equal if sense == "min" else np.greater_equal
 
-    uniq, inverse = _distinct_rows(work)
+    uniq, inverse = _distinct_rows(values)
     u = uniq.shape[0]
 
     # strict[i, j]: distinct value i strictly dominates distinct value j
-    strict = uniq[:, None, 0] <= uniq[None, :, 0]
+    strict = at_least_as_good(uniq[:, None, 0], uniq[None, :, 0])
     for j in range(1, uniq.shape[1]):
-        strict &= uniq[:, None, j] <= uniq[None, :, j]
-    np.fill_diagonal(strict, False)  # distinct rows: <= plus i != j implies strict
+        strict &= at_least_as_good(uniq[:, None, j], uniq[None, :, j])
+    np.fill_diagonal(strict, False)  # distinct rows: as good everywhere and i != j implies strict
 
     remaining = strict.sum(axis=0).astype(np.int64)
     rank = np.full(u, -1, dtype=np.int64)
@@ -63,15 +63,41 @@ def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows in lexicographic order, and each row's index among them.
 
     The same result as ``np.unique(values, axis=0, return_inverse=True)``
-    with the inverse flattened, from one ``np.lexsort`` of the columns
-    instead of a sort of the rows as a structured dtype.
+    with the inverse flattened. Integer and bool rows are sorted as one
+    ``_box_codes`` code each over their own min..max box; float rows, and
+    boxes too large for int64, by one ``np.lexsort`` of the columns.
     """
     values = np.asarray(values)
-    order = np.lexsort(values.T[::-1])  # lexsort's last key is the primary one
-    ordered = values[order]
-    first = np.empty(len(ordered), dtype=bool)
+    columns = values.T
+    codes = None
+    if values.dtype.kind in "biu" and values.size:
+        codes = _box_codes(columns, [c.min() for c in columns], [c.max() for c in columns])
+    if codes is None:
+        order = np.lexsort(columns[::-1])  # lexsort's last key is the primary one
+        ordered = values[order]
+        changed = np.any(ordered[1:] != ordered[:-1], axis=1)
+    else:
+        order = np.argsort(codes)  # equal codes are equal rows, so any sort will do
+        ordered = codes[order]
+        changed = ordered[1:] != ordered[:-1]
+    first = np.empty(len(order), dtype=bool)
     first[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(ordered), dtype=np.intp)
+    first[1:] = changed
+    inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    return values[order[first]], inverse
+
+
+def _box_codes(columns, lo, hi) -> np.ndarray | None:
+    """Mixed-radix int64 code of each row of integer or bool ``columns`` in
+    the box lo..hi they lie in, first column most significant, so codes sort
+    as the rows do; None if the box has more cells than int64 can count.
+    Offsets from lo are taken in int64 with wrap-around: exact, as each fits."""
+    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        return None
+    codes = np.subtract(columns[0], lo[0], dtype=np.int64, casting="unsafe")
+    for column, low, span in zip(columns[1:], lo[1:], spans[1:]):
+        codes *= span
+        codes += np.subtract(column, low, dtype=np.int64, casting="unsafe")
+    return codes

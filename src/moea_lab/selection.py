@@ -219,23 +219,31 @@ def crowding_distance(values: np.ndarray, rng: np.random.Generator) -> np.ndarra
     Boundary individuals per objective get infinite distance; interior ones
     accumulate the normalized gap between their sorted neighbors. The front
     is shuffled before each per-objective stable sort so duplicates do not
-    inherit a stable-sort bias.
+    inherit a stable-sort bias. An integer objective spanning less than
+    2**15 is sorted on its offsets from its minimum as int16 (a radix sort);
+    they order and tie as the float values do, so the order is the same.
+    Gaps are taken in float.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    n, m = values.shape
+    values = np.atleast_2d(np.asarray(values))
+    integer = values.dtype.kind in "biu"
+    n = values.shape[0]
     dist = np.zeros(n)
     if n <= 2:
         dist[:] = np.inf
         return dist
-    for j in range(m):
+    for column in np.array(values.T, dtype=float):
         perm = rng.permutation(n)
-        order = perm[np.argsort(values[perm, j], kind="stable")]
-        lo = values[order[0], j]
-        hi = values[order[-1], j]
+        key = column[perm]
+        if integer and key.max() - key.min() < 2**15:
+            # integer-valued floats less than 2**15 apart differ exactly
+            key = (key - key.min()).astype(np.int16)
+        order = perm[np.argsort(key, kind="stable")]
+        lo = column[order[0]]
+        hi = column[order[-1]]
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
         if hi > lo:
-            gaps = (values[order[2:], j] - values[order[:-2], j]) / (hi - lo)
+            gaps = (column[order[2:]] - column[order[:-2]]) / (hi - lo)
             dist[order[1:-1]] += gaps
     return dist
 
@@ -244,7 +252,7 @@ def crowding_distance_select(
     values: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Indices of the ``k`` largest-crowding-distance members (ties random)."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    values = np.atleast_2d(np.asarray(values))
     n = values.shape[0]
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= {n} candidates, got k={k}")

@@ -92,6 +92,19 @@ def tuple_set_coverage(values, front) -> set[tuple[int, ...]]:
     return pop_set & front_set
 
 
+def three_sum_evaluate(problem, population) -> np.ndarray:
+    """Oracle: ``Problem.evaluate`` from three int64 row sums, one over the
+    whole genome and one over each half."""
+    population = np.atleast_2d(np.asarray(population))
+    ones = population.sum(axis=1, dtype=np.int64)
+    if problem.name == "omm":
+        return np.stack([problem.n - ones, ones], axis=1)
+    half = problem.n // 2
+    first = population[:, :half].sum(axis=1, dtype=np.int64)
+    second = population[:, half:].sum(axis=1, dtype=np.int64)
+    return np.stack([problem.n - ones, first, second], axis=1)
+
+
 def stacked_nearest(refs, values):
     """Oracle: ``ReferencePointSet.nearest`` on (rows x candidates x M)
     stacks, with every per-candidate pass over the short last axis. Reads only

@@ -78,6 +78,13 @@ class TestCoverage:
         pop = (rng.random((5, 8)) < 0.5).astype(np.uint8)
         assert len(coverage(prob.evaluate(pop), prob.front())) >= 1
 
+    def test_box_past_int64_matches_tuple_set_oracle(self):
+        # (2**40 + 1)**2 cells, more than int64 can count: codes in int64
+        # would wrap and match the first row to (0, 0)
+        front = np.array([[0, 0], [2**40, 2**40]])
+        rows = np.array([[2**24 - 1, 2**40 - 2**24 + 1], [2**40, 2**40]])
+        assert coverage(rows, front) == tuple_set_coverage(rows, front) == {(2**40, 2**40)}
+
     @given(
         problem=st.sampled_from(["omm", "3omm"]),
         n=st.sampled_from([2, 4, 6, 10, 16]),

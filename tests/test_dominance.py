@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moea_lab.dominance import _distinct_rows, fast_nondominated_sort
+from moea_lab.dominance import _box_codes, _distinct_rows, fast_nondominated_sort
 from moea_lab.problems import pareto_front_3omm
 
 from conftest import dominates
@@ -118,6 +120,35 @@ class TestFastNondominatedSort:
         assert [sorted(f.tolist()) for f in fronts] == [sorted(f) for f in oracle]
 
 
+    @pytest.mark.parametrize("values,expected", [
+        ([[0], [1]], [[1], [0]]),
+        ([[0, 1], [1, 2]], [[1], [0]]),
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint64])
+    def test_unsigned_max_examples(self, values, expected, dtype):
+        fronts = fast_nondominated_sort(np.array(values, dtype=dtype), "max")
+        assert [f.tolist() for f in fronts] == expected
+
+    def test_bool_max_example(self):
+        fronts = fast_nondominated_sort(np.array([[False], [True]]), "max")
+        assert [f.tolist() for f in fronts] == [[1], [0]]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 64),
+        m=st.integers(1, 4),
+        dtype=st.sampled_from([np.uint8, np.uint64, np.bool_]),
+        sense=st.sampled_from(["min", "max"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_unsigned_and_bool_match_int64(self, seed, size, m, dtype, sense):
+        high = 2 if dtype is np.bool_ else 6
+        values = np.random.default_rng(seed).integers(0, high, size=(size, m))
+        fronts = fast_nondominated_sort(values.astype(dtype), sense)
+        expected = fast_nondominated_sort(values, sense)
+        assert [f.tolist() for f in fronts] == [f.tolist() for f in expected]
+
+
 class TestDistinctRows:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -139,3 +170,50 @@ class TestDistinctRows:
         uniq, inverse = _distinct_rows(np.array([row]))
         assert uniq.tolist() == [row]
         assert inverse.tolist() == [0]
+
+    # (dtype, offset, scale): each column is offset + scale * (ints 0..5)
+    WIDE_ROWS = {
+        "near +2**62": (np.int64, 2**62, 1),
+        "near -2**62": (np.int64, -(2**62), 1),
+        "span past int64": (np.int64, -(2**62), 2**61),
+        "uint64 past int64 max": (np.uint64, 2**63 + 7, 1),
+        "uint64 span past int64": (np.uint64, 0, 2**61),
+        "span product past int64": (np.int64, -5, 2**22),
+    }
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 120),
+        m=st.integers(1, 4),
+        case=st.sampled_from(sorted(WIDE_ROWS)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_wide_integers_match_numpy_unique(self, seed, size, m, case):
+        # rows 0 and 1 are the box's corners, so whether the codes fit in
+        # int64, and so which path runs, is known from the case
+        dtype, offset, scale = self.WIDE_ROWS[case]
+        small = np.random.default_rng(seed).integers(0, 6, size=(size, m))
+        small[:2] = [[0] * m, [5] * m][:size]
+        values = np.array([[offset + scale * int(v) for v in row] for row in small], dtype=dtype)
+        columns = values.T
+        fits = (5 * scale + 1 if size > 1 else 1) ** m <= np.iinfo(np.int64).max
+        codes = _box_codes(columns, [c.min() for c in columns], [c.max() for c in columns])
+        assert (codes is not None) == fits
+
+        uniq, inverse = _distinct_rows(values)
+        expected, expected_inverse = np.unique(values, axis=0, return_inverse=True)
+        assert uniq.dtype == expected.dtype
+        assert np.array_equal(uniq, expected)
+        assert np.array_equal(inverse, expected_inverse.ravel())
+
+    def test_far_apart_rows_allocate_nothing_of_the_gap(self):
+        values = np.array([[0], [2**40], [0]])
+        tracemalloc.start()
+        try:
+            uniq, inverse = _distinct_rows(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert uniq.tolist() == [[0], [2**40]]
+        assert inverse.tolist() == [0, 1, 0]
+        assert peak < 2**16

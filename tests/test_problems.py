@@ -11,6 +11,8 @@ from moea_lab.problems import (
     three_omm,
 )
 
+from conftest import three_sum_evaluate
+
 
 def bits(s):
     return np.array([int(c) for c in s], dtype=np.uint8)
@@ -93,6 +95,21 @@ class TestProblemObjects:
             first, second = int(x[:5].sum()), int(x[5:].sum())
             assert row.tolist() == [10 - first - second, first, second]
             assert np.array_equal(prob.evaluate(x), row[None, :])
+
+    @pytest.mark.parametrize("name,n", [
+        ("omm", 1), ("omm", 3), ("omm", 40), ("omm", 41), ("omm", 64), ("omm", 257),
+        ("3omm", 2), ("3omm", 40), ("3omm", 64), ("3omm", 512),
+    ])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
+    def test_matches_three_sum_oracle(self, name, n, dtype, rng):
+        # random rows plus all-zeros and all-ones rows; at n = 512 a half
+        # holds 256 ones, more than a uint8 count can
+        prob = make_problem(name, n)
+        pop = np.concatenate([rng.random((60, n)) < 0.5, np.zeros((1, n)), np.ones((1, n))])
+        pop = pop.astype(dtype)
+        values = prob.evaluate(pop)
+        assert values.dtype == np.int64
+        assert np.array_equal(values, three_sum_evaluate(prob, pop))
 
     def test_omm_front(self):
         assert {tuple(v) for v in pareto_front_oneminmax(3)} == {

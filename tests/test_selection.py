@@ -329,3 +329,34 @@ class TestCrowdingDistance:
         expected = trials * 3 / 6
         for i in range(6):
             assert abs(counts[i] - expected) < 5 * np.sqrt(trials * 0.5 * 0.5)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 80),
+        m=st.integers(1, 3),
+        wide=st.integers(0, 2),
+        offset=st.sampled_from([0, -7, 2**62]),
+        dtype=st.sampled_from([np.int64, np.uint64, np.uint8, np.bool_]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_keys_draw_as_float_keys(self, seed, size, m, wide, offset, dtype):
+        # column ``wide`` spans at least 2**15 where it exists (float keys);
+        # the others span at most 5 (int16 keys). Near 2**62 distinct
+        # integers round to one float, and must tie as the floats do.
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 6, size=(size, m))
+        if wide < m and size > 1:
+            values[:2, wide] = [0, 2**15]
+        if dtype is np.bool_:
+            values = values % 2
+        elif dtype is np.uint8:
+            values = values % 256
+        elif offset >= 0 or dtype is np.int64:
+            values = values + offset
+        values = values.astype(dtype)
+        for k in {1, (size + 1) // 2, size}:
+            ints, floats = np.random.default_rng(seed), np.random.default_rng(seed)
+            picked = crowding_distance_select(values, k, ints)
+            expected = crowding_distance_select(values.astype(np.float64), k, floats)
+            assert np.array_equal(picked, expected)
+            assert ints.bit_generator.state == floats.bit_generator.state
