@@ -119,7 +119,6 @@ class TestFastNondominatedSort:
         oracle = brute_force_ranks(values, sense)
         assert [sorted(f.tolist()) for f in fronts] == [sorted(f) for f in oracle]
 
-
     @pytest.mark.parametrize("values,expected", [
         ([[0], [1]], [[1], [0]]),
         ([[0, 1], [1, 2]], [[1], [0]]),

@@ -90,11 +90,9 @@ def summarize(runs: dict, workloads: list[str], metrics: list[dict]) -> tuple[di
     for w in workloads:
         ok = [p for p in pairs if all("error" not in p[s][w] for s in SIDES)]
         row = {}
-        for metric in metrics:
+        for metric in metrics if ok else []:
             name = metric["name"]
             values = {s: [p[s][w][name] for p in ok] for s in SIDES}
-            if not ok:
-                continue
             sign = 1 if metric["better"] == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
