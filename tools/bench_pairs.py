@@ -1,23 +1,24 @@
 """Run the benchmark on two commits in alternating pairs and write BENCH_<name>.json.
 
     python3 tools/bench_pairs.py --parent REV [--change HEAD] --name NAME \
-        [--pairs 10] [--seed 111] [--seconds 25] [--workloads W ...] \
-        [--claim WORKLOAD:METRIC] [--trace WORKLOAD] [--trace-seconds 1] \
+        [--pairs 10] [--seed 111] [--claim WORKLOAD:METRIC] [--trace WORKLOAD] \
         [--tier1] [--what TEXT]
 
 Both commits are cloned into a temporary directory. Pair i runs at seed
 ``--seed + i``, the parent first in even pairs and the change first in odd
-ones; each side runs every workload, one after the other, as
-``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in its own clone, and keeps each workload's per-round record digests.
+ones; each side runs every workload of BENCHMARK.json, one after the
+other, as ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` in its own clone, with T the benchmark's ``run_seconds``, and
+keeps each workload's per-round record digests.
 
 For every end-to-end metric of BENCHMARK.json the file records each
 side's median and quartiles (linear interpolation) and ``change_wins``, the
 pairs where the change reads better, ties counting for neither. With
 ``--claim`` it also records whether the claimed metric meets the gain rule:
-the change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile range. ``--trace`` adds one
-``--trace 1`` run per side at seed ``--seed + --pairs``, and ``--tier1``
+the change wins at least nine tenths of the pairs, fails no more operations
+than the parent, and the medians differ by more than the parent's
+interquartile range. ``--trace`` adds one ``--trace 1`` run of
+``TRACE_SECONDS`` per side at seed ``--seed + --pairs``, and ``--tier1``
 the tier-1 test time of each side, run alone after the pairs.
 """
 
@@ -38,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 DIGEST_LINE = "records digest per round:"
+TRACE_SECONDS = 1.0
 
 
 def clone(rev: str, into: Path) -> str:
@@ -128,6 +130,7 @@ def claim(summary: dict, spec: str, pairs: int, metrics: list[dict]) -> dict:
     wins = int(row["change_wins"].split("/")[0])
     lower = next(m for m in metrics if m["name"] == name)["better"] == "lower"
     gap = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+    failed = summary[workload]["failed"]
     return {
         "workload": workload,
         "metric": name,
@@ -136,7 +139,8 @@ def claim(summary: dict, spec: str, pairs: int, metrics: list[dict]) -> dict:
         "change_median": change["median"],
         "change_over_parent_median": row["change_over_parent_median"],
         "change_wins": row["change_wins"],
-        "meets_gain_rule": wins * 10 >= 9 * pairs and gap > iqr,
+        "meets_gain_rule": wins * 10 >= 9 * pairs and gap > iqr
+        and failed["change"] <= failed["parent"],
     }
 
 
@@ -166,20 +170,18 @@ def main(argv=None) -> int:
     parser.add_argument("--name", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=111)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--claim", help="WORKLOAD:METRIC")
     parser.add_argument("--trace", help="workload to trace once per side")
-    parser.add_argument("--trace-seconds", type=float, default=1.0)
     parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed < 0 or args.seconds <= 0 or args.trace_seconds <= 0:
-        parser.error("--pairs must be >= 1, --seed >= 0, and --seconds and --trace-seconds > 0")
+    if args.pairs < 1 or args.seed < 0:
+        parser.error("--pairs must be >= 1 and --seed >= 0")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = bench["end_to_end"]
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     if args.claim and (args.claim.count(":") != 1 or args.claim.split(":")[0] not in workloads
                        or args.claim.split(":")[1] not in [m["name"] for m in metrics]):
         parser.error(f"--claim {args.claim!r} names no benchmarked workload and metric")
@@ -194,7 +196,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             runs[str(i)] = {"seed": seed, "first": order[0]}
             for side in order:
-                runs[str(i)][side] = {w: run_workload(checkouts[side], w, seed, args.seconds, 0)
+                runs[str(i)][side] = {w: run_workload(checkouts[side], w, seed, seconds, 0)
                                       for w in workloads}
             print(f"pair {i + 1}/{args.pairs} at seed {seed} done", file=sys.stderr)
         summary, digests = summarize(runs, workloads, metrics)
@@ -205,7 +207,7 @@ def main(argv=None) -> int:
                 f"{args.pairs} alternating pairs, seeds {args.seed}..{args.seed + args.pairs - 1}, "
                 f"parent first in even pairs; parent {commits['parent']} and change "
                 f"{commits['change']}, each in its own clone. Each side of a pair runs "
-                f"`python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+                f"`python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                 f"--trace 0` for W in {', '.join(workloads)}, in that order. Medians and "
                 "quartiles (linear interpolation) over each side's runs; change_wins counts "
                 "the pairs where the change reads better. Written by tools/bench_pairs.py."
@@ -218,9 +220,9 @@ def main(argv=None) -> int:
             seed = args.seed + args.pairs
             report["per_layer"] = {
                 "method": f"one `python3 perfbench/run.py --workload {args.trace} --seed {seed} "
-                          f"--seconds {args.trace_seconds:g} --trace 1` per side; per-layer "
+                          f"--seconds {TRACE_SECONDS:g} --trace 1` per side; per-layer "
                           "self times in ms per generation or call, counts per call",
-                **{s: run_workload(checkouts[s], args.trace, seed, args.trace_seconds, 1)
+                **{s: run_workload(checkouts[s], args.trace, seed, TRACE_SECONDS, 1)
                    for s in SIDES},
             }
         if args.tier1:
