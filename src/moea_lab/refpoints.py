@@ -106,16 +106,10 @@ class ReferencePointSet:
             raise ValueError(f"nearest supports up to {_MAX_NEAREST_DIM} dimensions")
         if not np.all(np.isfinite(v)) or np.any(v < 0):
             raise ValueError("values must be finite and non-negative")
-        total = v.sum(axis=1)
-        if np.any(total == 0):
+        if np.any(v.sum(axis=1) == 0):
             raise ValueError("values must have a positive sum")
 
-        q = self.p * v[:, :-1] / total[:, None]
-        floor = np.floor(q).astype(np.int64)
-        grid = [floor[:, i, None] + steps for i, steps in enumerate(_box_offsets(self.dim))]
-        grid.append(self.p - sum(grid))
-        on_simplex = functools.reduce(np.logical_and, [part >= 0 for part in grid])
-
+        grid, on_simplex = self._box(v)
         angle = _plane_angles(
             [v[:, i, None] for i in range(self.dim)], [part.astype(float) for part in grid]
         )
@@ -123,6 +117,21 @@ class ReferencePointSet:
         best = angle.min(axis=1)
         row, col = np.nonzero(angle <= best[:, None] * (1.0 + _TIE_RTOL))
         return best, row, _lattice_index([part[row, col] for part in grid], self.p)
+
+    def _box(self, v: np.ndarray) -> tuple[list, np.ndarray]:
+        """The candidate box (see ``_RADIUS``) of each row of ``v``, rows
+        non-negative with positive sums.
+
+        Returns ``(grid, on_simplex)``: ``grid`` holds one (rows x candidates)
+        integer array per coordinate, the candidates in lattice order, and
+        ``on_simplex`` marks the candidates with no negative coordinate, the
+        only ones ``_lattice_index`` may index.
+        """
+        q = self.p * v[:, :-1] / v.sum(axis=1)[:, None]
+        floor = np.floor(q).astype(np.int64)
+        grid = [floor[:, i, None] + steps for i, steps in enumerate(_box_offsets(self.dim))]
+        grid.append(self.p - sum(grid))
+        return grid, functools.reduce(np.logical_and, [part >= 0 for part in grid])
 
 
 def _plane_angles(a: list, b: list) -> np.ndarray:

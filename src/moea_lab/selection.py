@@ -8,18 +8,21 @@ individuals in population order), so runs replay exactly.
 Association scores distinct normalized values against every reference line
 with a BLAS matrix product, computed a few rows at a time (``_ROW_BLOCK``),
 so memory is a block of rows times the lattice, not values times the
-lattice. A block never has a single row: numpy computes a one-row product as
-a matrix-vector call whose last bits can differ, and those bits decide which
-lines tie. In blocks of 2 to 16 rows, a row's best projection and the
-entries tying with it have the same bits whichever rows share its block (on
-the golden and benchmark fronts; an entry far from the best can move by an
-ulp with the block's shape). So what a row gets (its pick, its best
-projection and, for a tie row, its tie set) depends only on its float64
-bits and the lattice. The lattice keeps those results for the distinct rows
-of association's last call, keyed by the rows' bytes, and only rows it has
-not seen are multiplied: the population carries over between generations,
-so most rows repeat. Keeping only the last call bounds the record by one
-call's distinct rows; a longer history would find few more repeats.
+lattice. A row's pick and ties are read only at the 36 (M = 3) lattice
+points of its candidate box from ``ReferencePointSet.nearest``, as no entry
+outside the box can reach the best one's bits. A block never has a single
+row: numpy computes a one-row product as a matrix-vector call whose last
+bits can differ, and those bits decide which lines tie. In blocks of 2 to 16
+rows, a row's best projection and the entries tying with it have the same
+bits whichever rows share its block (on the golden and benchmark fronts; an
+entry far from the best can move by an ulp with the block's shape). So what
+a row gets (its pick, its best projection and, for a tie row, its tie set)
+depends only on its float64 bits and the lattice. The lattice keeps those
+results for the distinct rows of association's last call, keyed by the rows'
+bytes, and only rows it has not seen are multiplied: the population carries
+over between generations, so most rows repeat. Keeping only the last call
+bounds the record by one call's distinct rows; a longer history would find
+few more repeats.
 
 Ties are still read from the product's bits, so they can depend on the BLAS
 build; ``ReferencePointSet.nearest`` has exact tie sets, but association on
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dominance import _distinct_rows
-from .refpoints import ReferencePointSet
+from .refpoints import _MAX_NEAREST_DIM, ReferencePointSet, _lattice_index
 
 __all__ = [
     "Association",
@@ -86,19 +89,31 @@ def associate(
     the last call; only the vectors not found there are multiplied, in row
     blocks (see ``_ROW_BLOCK``). A block of one row, as when a single vector
     is new, is padded to two copies of it, so the row gets the bits it would
-    get in any other block. In each block one ``argmax`` gives every row's
-    pick and best value; masking the picks and taking one more ``max`` finds
-    the rows whose best value occurs twice, and only those rows list their
-    ties. The record is then replaced by this call's vectors, so it never
-    holds more than one call's distinct rows.
+    get in any other block. Each row's product is read only at the candidate
+    box of ``ReferencePointSet.nearest`` (see ``refpoints._RADIUS``): no
+    entry outside it can reach the best one's bits (the margin argument is
+    next to the gather), so the box's best value, its first candidate in
+    lattice order with that value and the candidates tying with it are the
+    whole row's max, argmax and ties. The record is then replaced by this
+    call's vectors, so it never holds more than one call's distinct rows.
 
     Tie rows then draw one tie each, uniformly, in ascending row order,
     whether their result was recorded or computed, so the draws are those
     of a whole-matrix scan.
+
+    Two cases are decided as the whole product would decide them. A zero
+    vector has no box; it projects to 0.0 on every line, so it ties on the
+    whole lattice. The box is proven up to ``refpoints._MAX_NEAREST_DIM``
+    objectives, and a lattice of more raises ``ValueError`` (the engine
+    makes 2 or 3); so do negative or non-finite values.
     """
     normalized = np.atleast_2d(np.asarray(normalized, dtype=float))
-    if not np.all(np.isfinite(normalized)):
-        raise ValueError("normalized objective values must be finite")
+    if normalized.shape[1] != refs.dim:
+        raise ValueError(f"normalized values must be rows of {refs.dim} coordinates")
+    if refs.dim > _MAX_NEAREST_DIM:
+        raise ValueError(f"association supports up to {_MAX_NEAREST_DIM} objectives")
+    if not np.all(np.isfinite(normalized)) or np.any(normalized < 0):
+        raise ValueError("normalized objective values must be finite and non-negative")
 
     uniq, inverse = _distinct_rows(normalized)
     units = refs.unit_points  # (R, M)
@@ -107,19 +122,44 @@ def associate(
     found = [memo.get(key) for key in keys]  # (pick, top, ties or None)
     missed = np.array([i for i, hit in enumerate(found) if hit is None], dtype=np.intp)
     if missed.size:
-        for rows in np.array_split(missed, max(1, missed.size // _ROW_BLOCK)):
-            if rows.size == 1:
-                rows = np.repeat(rows, 2)
-            proj = uniq[rows] @ units.T  # (block, R)
-            local = np.arange(rows.size)
-            pick = np.argmax(proj, axis=1)
-            top = proj[local, pick]
-            proj[local, pick] = -np.inf
-            tied = proj.max(axis=1) == top
-            proj[local, pick] = top
-            for j, i in enumerate(rows.tolist()):
-                ties = np.flatnonzero(proj[j] == top[j]) if tied[j] else None
-                found[i] = (int(pick[j]), float(top[j]), ties)
+        fresh = uniq[missed]
+        boxed = fresh.any(axis=1)  # a zero row projects to 0.0 on every line
+        grid, on_simplex = refs._box(fresh[boxed])
+        inside = np.zeros((missed.size, on_simplex.shape[1]), dtype=bool)
+        inside[boxed] = on_simplex
+        cells = np.zeros(inside.shape, dtype=np.intp)  # candidates' lattice indices
+        cells[inside] = _lattice_index([part[on_simplex] for part in grid], refs.p)
+        value = np.full(inside.shape, -np.inf)
+        for pos in np.array_split(np.arange(missed.size), max(1, missed.size // _ROW_BLOCK)):
+            if pos.size == 1:
+                pos = np.repeat(pos, 2)
+            proj = uniq[missed[pos]] @ units.T  # (block, R)
+            # Only the box's entries can hold a row's best value or tie it.
+            # In the plane units of _RADIUS's proof, the best candidate's
+            # line passes within c of q and every left-out point's at least
+            # d from q, c^2 = a (M - a) / M and d^2 = 9 / (M - 1); a line
+            # passing t from q makes the angle asin(t / |q|) with v, |q| <= p.
+            # As v . u = |v| cos(angle) and cos x - cos y = (sin^2 y -
+            # sin^2 x) / (cos x + cos y), a left-out entry lies at least
+            # (d^2 - c^2) / (2 p^2) |v| below the best: 23 / (12 p^2) |v|
+            # for M = 3 (4.2e-6 |v| at p = 672), 17 / (4 p^2) |v| for M = 2.
+            # Rounding (of the unit points and of a dot product of M terms)
+            # moves an entry by at most about 1e-15 |v|, so while p <= 1e7
+            # (a margin of 1.9e-14 |v|) and |v| is a normal double, no
+            # left-out entry reaches the best one's bits. Candidates come in
+            # lattice order, so the first with those bits is the argmax.
+            value[pos] = np.where(
+                inside[pos], np.take_along_axis(proj, cells[pos], axis=1), -np.inf
+            )
+        top = value.max(axis=1)
+        is_top = value == top[:, None]
+        pick = cells[np.arange(missed.size), is_top.argmax(axis=1)]
+        tied = is_top.sum(axis=1) > 1
+        for j, i in enumerate(missed.tolist()):
+            if not boxed[j]:
+                found[i] = (0, 0.0, np.arange(len(units)))
+            else:
+                found[i] = (int(pick[j]), float(top[j]), cells[j, is_top[j]] if tied[j] else None)
     memo.clear()
     memo.update(zip(keys, found))
 

@@ -157,11 +157,13 @@ def exhaustive_min_pairwise_angle(n: int, block: int = 128) -> float:
 
 def dense_associate(normalized, refs, rng) -> Association:
     """Oracle: association from the whole (distinct values x reference
-    points) product at once, with a separate max, argmax and tie count."""
+    points) product at once, with a separate max, argmax and tie count. A
+    lone distinct row is multiplied as two copies of itself: numpy computes
+    a one-row product as a matrix-vector call, with other last bits."""
     normalized = np.atleast_2d(np.asarray(normalized, dtype=float))
     uniq, inverse = _distinct_rows(normalized)
     units = refs.unit_points
-    proj = uniq @ units.T
+    proj = ((np.repeat(uniq, 2, axis=0) if len(uniq) == 1 else uniq) @ units.T)[: len(uniq)]
     best = proj.max(axis=1)
     chosen = np.argmax(proj, axis=1)
     tie_rows = np.flatnonzero((proj == best[:, None]).sum(axis=1) > 1)

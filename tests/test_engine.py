@@ -2,17 +2,19 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from moea_lab import engine
 from moea_lab.dominance import fast_nondominated_sort
 from moea_lab.engine import GenerationState, RunConfig, make_offspring, run_collect
 from moea_lab.genome import mutate_population, random_population
 from moea_lab.problems import three_omm
 
-from conftest import PRINT_PEAK_KB
+from conftest import PRINT_PEAK_KB, dense_associate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -272,6 +274,34 @@ class TestRun:
                 assert_best_fronts_survive(pre, state.population, cfg, prob, rng_state)
             )
         assert max(ranks) > 0
+
+
+# (problem, n, pop_size, divisions, crossover_rate): 3-OMM at the golden
+# runs' p = 21n and at a small p, OneMinMax (M = 2) at two odd p. Every case
+# draws among tied reference points within its 60 iterations.
+REPLAY_CASES = [
+    ("3omm", 12, 49, 252, 0.0),
+    ("3omm", 8, 25, 10, 0.9),
+    ("omm", 20, 21, 21, 0.0),
+    ("omm", 30, 40, 45, 0.5),
+]
+
+
+class TestAssociationReplay:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("problem,n,pop_size,divisions,crossover", REPLAY_CASES)
+    def test_records_match_dense_association(
+        self, problem, n, pop_size, divisions, crossover, seed, monkeypatch
+    ):
+        cfg = config(problem=problem, n=n, pop_size=pop_size, divisions=divisions,
+                     crossover_rate=crossover, max_iterations=60, seed=[23, seed])
+
+        def fields(records):
+            return [replace(record, wall_time=0.0) for record in records]
+
+        got = fields(run_collect(cfg))
+        monkeypatch.setattr(engine, "associate", dense_associate)
+        assert got == fields(run_collect(cfg))
 
 
 class TestPaperRegime:

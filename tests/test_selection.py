@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from moea_lab.dominance import _distinct_rows
 from moea_lab.problems import pareto_front_3omm
-from moea_lab.refpoints import generate_reference_points
+from moea_lab.refpoints import _MAX_NEAREST_DIM, generate_reference_points
 from moea_lab.selection import (
     _ROW_BLOCK,
     associate,
@@ -92,6 +92,16 @@ class TestAssociate:
         with pytest.raises(ValueError):
             associate(np.array([[np.nan, 0.0, 0.0]]), refs, rng)
 
+    def test_negative_rejected(self, rng):
+        refs = generate_reference_points(3, 2)
+        with pytest.raises(ValueError):
+            associate(np.array([[0.5, -0.25, 0.0]]), refs, rng)
+
+    def test_more_objectives_than_the_box_rejected(self, rng):
+        refs = generate_reference_points(_MAX_NEAREST_DIM + 1, 2)
+        with pytest.raises(ValueError):
+            associate(np.full((1, refs.dim), 0.5), refs, rng)
+
     def test_identical_vectors_share_reference_point(self, rng):
         # exact ties are broken once per distinct vector, so duplicates
         # can never split across reference points
@@ -110,7 +120,64 @@ class TestAssociate:
         assert len(np.unique(assoc.ref_index)) == len(front)
 
 
+@st.composite
+def association_inputs(draw):
+    """(rows, refs, seed): M in {2, 3}, p from 1 to 700, and rows that are
+    random (with zero coordinates), scaled lattice points, mirror-symmetric
+    pairs and, sometimes, the zero row."""
+    dim = draw(st.sampled_from([2, 3]))
+    p = draw(st.integers(1, 700))
+    coordinate = st.one_of(st.just(0.0), st.floats(0.0, 1e3, allow_subnormal=False))
+    scale = st.floats(1e-3, 1e3)
+
+    @st.composite
+    def lattice_point(draw):
+        parts = []
+        for _ in range(dim - 1):
+            parts.append(draw(st.integers(0, p - sum(parts))))
+        return np.array(parts + [p - sum(parts)]) * (draw(scale) / p)
+
+    @st.composite
+    def mirror_pair(draw):
+        # v and v reversed, with equal middle coordinates for M = 3 and
+        # equal ones for M = 2: lines mirrored across the middle project
+        # the same
+        x, y = draw(scale), draw(scale)
+        row = np.array([x, y] if dim == 2 else [x, y, y])
+        if draw(st.booleans()):
+            row = np.array([x, x] if dim == 2 else [y, x, y])
+        return [row, row[::-1]]
+
+    random_row = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
+    singles = st.one_of(random_row, lattice_point()).map(lambda row: [row])
+    groups = draw(st.lists(st.one_of(singles, mirror_pair()), min_size=1, max_size=8))
+    rows = [row for group in groups for row in group]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), np.zeros(dim))
+    return np.array(rows, dtype=float), generate_reference_points(dim, p), draw(
+        st.integers(0, 2**32 - 1))
+
+
 class TestAssociateMatchesDense:
+    @given(association_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_inputs(self, inputs):
+        rows, refs, seed = inputs
+        assert_same_draws(rows, refs, seed)
+        # again on the same lattice, reordered, with its record of the call
+        assert_same_draws(rows[::-1], refs, seed + 1)
+
+    @pytest.mark.parametrize("dim,p", [(2, 1), (2, 7), (3, 1), (3, 40)])
+    def test_zero_row_ties_on_every_point(self, dim, p):
+        refs = generate_reference_points(dim, p)
+        rows = np.zeros((3, dim))
+        state = assert_same_draws(rows, refs, 9)
+        # one draw among all the points
+        rng = np.random.default_rng(9)
+        rng.integers(len(refs))
+        assert state == rng.bit_generator.state
+        assert np.all(associate(rows, refs, np.random.default_rng(9)).distance == 0.0)
+
     @pytest.mark.parametrize("n,p", FRONT_CASES)
     def test_whole_front(self, n, p):
         state = assert_same_draws(minmax_front(n), generate_reference_points(3, p), 3)
