@@ -129,7 +129,7 @@ def associate(
         inside[boxed] = on_simplex
         cells = np.zeros(inside.shape, dtype=np.intp)  # candidates' lattice indices
         cells[inside] = _lattice_index([part[on_simplex] for part in grid], refs.p)
-        value = np.full(inside.shape, -np.inf)
+        value = np.empty(inside.shape)
         for pos in np.array_split(np.arange(missed.size), max(1, missed.size // _ROW_BLOCK)):
             if pos.size == 1:
                 pos = np.repeat(pos, 2)
@@ -148,18 +148,18 @@ def associate(
             # (a margin of 1.9e-14 |v|) and |v| is a normal double, no
             # left-out entry reaches the best one's bits. Candidates come in
             # lattice order, so the first with those bits is the argmax.
-            value[pos] = np.where(
-                inside[pos], np.take_along_axis(proj, cells[pos], axis=1), -np.inf
-            )
+            value[pos] = proj[np.arange(pos.size)[:, None], cells[pos]]
+        value[~inside] = -np.inf
         top = value.max(axis=1)
         is_top = value == top[:, None]
         pick = cells[np.arange(missed.size), is_top.argmax(axis=1)]
         tied = is_top.sum(axis=1) > 1
-        for j, i in enumerate(missed.tolist()):
-            if not boxed[j]:
+        rows = zip(missed.tolist(), boxed.tolist(), pick.tolist(), top.tolist(), tied.tolist())
+        for j, (i, has_box, first, peak, tie) in enumerate(rows):
+            if not has_box:
                 found[i] = (0, 0.0, np.arange(len(units)))
             else:
-                found[i] = (int(pick[j]), float(top[j]), cells[j, is_top[j]] if tied[j] else None)
+                found[i] = (first, peak, cells[j, is_top[j]] if tie else None)
     memo.clear()
     memo.update(zip(keys, found))
 

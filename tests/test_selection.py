@@ -139,9 +139,9 @@ def association_inputs(draw):
 
     @st.composite
     def mirror_pair(draw):
-        # v and v reversed, with equal middle coordinates for M = 3 and
-        # equal ones for M = 2: lines mirrored across the middle project
-        # the same
+        # a row and its reverse; a row with two equal coordinates ([x, y, y],
+        # [y, x, y] or [x, x]) projects alike onto mirror-image lattice
+        # points, so it can tie
         x, y = draw(scale), draw(scale)
         row = np.array([x, y] if dim == 2 else [x, y, y])
         if draw(st.booleans()):
