@@ -112,9 +112,10 @@ def make_problem(name: str, n: int) -> Problem:
 def require_indexable(problem: Problem, pop_size: int = 0, divisions: int | None = None) -> None:
     """Refuse, before anything is built, an array numpy cannot index: one
     generation's parent and offspring bits, the front, or the lattice of
-    C(p + M - 1, M - 1) points (for the verifier, which allocates none, its
-    int64 lattice indices), all counted as Python ints. What numpy can index
-    but memory cannot hold is left to the allocator."""
+    C(p + M - 1, M - 1) points, all counted as Python ints. Neither the
+    engine nor the verifier allocates the lattice; its count guards their
+    int64 lattice indices. What numpy can index but memory cannot hold is
+    left to the allocator."""
     dim = problem.num_objectives
     sizes = {"population": 2 * pop_size * problem.n, "front": dim * problem.front_size}
     if divisions is not None:

@@ -52,11 +52,9 @@ class ReferencePointSet:
 
     p: int
     dim: int
-    _unit_points: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     # selection.associate's results for the distinct rows of its last call on
-    # this lattice: row.tobytes() -> (pick, top, ties or None)
+    # this lattice: row.tobytes() -> (lattice indices of the row's best lines,
+    # in lattice order, and the row's distance to each)
     _associations: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -71,18 +69,14 @@ class ReferencePointSet:
 
     @property
     def unit_points(self) -> np.ndarray:
-        """Points scaled to unit Euclidean length (for line geometry).
+        """Points scaled to unit Euclidean length, built anew on every read.
 
-        Computed on first access and kept, read-only: the engine asks for
-        them every generation, while the verifier never does and so never
-        builds the lattice.
+        ``_units`` makes them, as it makes the unit vectors that
+        ``selection.associate`` scores, so the two have the same bits. The
+        engine reads neither whole: association scores each row on its own
+        candidate box.
         """
-        if self._unit_points is None:
-            points = self.points
-            units = points / np.linalg.norm(points, axis=1, keepdims=True)
-            units.flags.writeable = False
-            object.__setattr__(self, "_unit_points", units)
-        return self._unit_points
+        return _units(list(_compositions(self.p, self.dim).T), self.p)
 
     def nearest(self, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest reference lines of non-negative vectors, with their ties.
@@ -132,6 +126,15 @@ class ReferencePointSet:
         grid = [floor[:, i, None] + steps for i, steps in enumerate(_box_offsets(self.dim))]
         grid.append(self.p - sum(grid))
         return grid, functools.reduce(np.logical_and, [part >= 0 for part in grid])
+
+
+def _units(grid: list, p: int) -> np.ndarray:
+    """Unit vectors of lattice points given as one integer array per part,
+    stacked on a new last axis; every part may have any shape. Each norm is
+    summed along that last axis, so a point gets the same bits in any
+    array."""
+    points = np.stack(grid, axis=-1) / float(p)
+    return points / np.linalg.norm(points, axis=-1, keepdims=True)
 
 
 def _plane_angles(a: list, b: list) -> np.ndarray:

@@ -5,21 +5,15 @@ crowding distance (the NSGA-II route). All random tie-breaks draw from the
 run's generator in a fixed order (reference points in lattice order,
 individuals in population order), so runs replay exactly.
 
-Association scores distinct normalized values against every reference line
-with a BLAS matrix product, computed a few rows at a time (``_ROW_BLOCK``),
-so memory is a block of rows times the lattice, not values times the
-lattice. A row's pick and ties are read only at the 36 (M = 3) lattice
-points of its candidate box from ``ReferencePointSet.nearest``, as no entry
-outside the box can reach the best one's bits. A block never has a single
-row: numpy computes a one-row product as a matrix-vector call whose last
-bits can differ, and those bits decide which lines tie. In blocks of 2 to 16
-rows, a row's best projection and the entries tying with it have the same
-bits whichever rows share its block (on the golden and benchmark fronts; an
-entry far from the best can move by an ulp with the block's shape). So what
-a row gets (its pick, its best projection and, for a tie row, its tie set)
-depends only on its float64 bits and the lattice. The lattice keeps those
-results for the distinct rows of association's last call, keyed by the rows'
-bytes, and only rows it has not seen are multiplied: the population carries
+Association scores each distinct normalized value only against the 36
+(M = 3) lattice points of its candidate box from
+``ReferencePointSet.nearest``, with one stacked BLAS product, so neither work
+nor memory grows with the lattice and the engine never builds it. No entry
+outside the box can reach the best one's bits. Each row is its own product,
+so what it gets (its pick, its best projection and, for a tie row, its tie
+set) depends only on its float64 bits and the lattice. The lattice keeps
+those results for the distinct rows of association's last call, keyed by the
+rows' bytes, and only rows it has not seen are scored: the population carries
 over between generations, so most rows repeat. Keeping only the last call
 bounds the record by one call's distinct rows; a longer history would find
 few more repeats.
@@ -41,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dominance import _distinct_rows
-from .refpoints import _MAX_NEAREST_DIM, ReferencePointSet, _lattice_index
+from .refpoints import _MAX_NEAREST_DIM, ReferencePointSet, _lattice_index, _units
 
 __all__ = [
     "Association",
@@ -50,13 +44,6 @@ __all__ = [
     "crowding_distance",
     "crowding_distance_select",
 ]
-
-# Rows of the (distinct values x reference points) product held at once.
-# np.array_split into len // _ROW_BLOCK blocks gives blocks of 8 to 15 rows;
-# a lone row is doubled (see the module docstring). On the 3-OMM fronts of
-# the golden runs and the benchmark, every block length from 2 to 32 drew as
-# the whole product did; length 1 did not.
-_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -86,26 +73,26 @@ def associate(
     projection v . r_unit.
 
     Each distinct vector is looked up by its bytes in ``refs``'s record of
-    the last call; only the vectors not found there are multiplied, in row
-    blocks (see ``_ROW_BLOCK``). A block of one row, as when a single vector
-    is new, is padded to two copies of it, so the row gets the bits it would
-    get in any other block. Each row's product is read only at the candidate
-    box of ``ReferencePointSet.nearest`` (see ``refpoints._RADIUS``): no
-    entry outside it can reach the best one's bits (the margin argument is
-    next to the gather), so the box's best value, its first candidate in
-    lattice order with that value and the candidates tying with it are the
-    whole row's max, argmax and ties. The record is then replaced by this
-    call's vectors, so it never holds more than one call's distinct rows.
+    the last call; only the vectors not found there are scored, each on its
+    own candidate box from ``ReferencePointSet.nearest`` (see
+    ``refpoints._RADIUS``), with unit vectors from ``refpoints._units``, so
+    the work does not grow with the lattice. No entry outside the box can
+    reach the best one's bits (the margin argument is next to the product),
+    so the box's best value, its first candidate in lattice order with that
+    value and the candidates tying with it are the whole lattice's max,
+    argmax and ties. Lattice indices are computed only for those top
+    entries. The record is then replaced by this call's vectors, so it
+    never holds more than one call's distinct rows.
 
     Tie rows then draw one tie each, uniformly, in ascending row order,
     whether their result was recorded or computed, so the draws are those
     of a whole-matrix scan.
 
-    Two cases are decided as the whole product would decide them. A zero
-    vector has no box; it projects to 0.0 on every line, so it ties on the
-    whole lattice. The box is proven up to ``refpoints._MAX_NEAREST_DIM``
-    objectives, and a lattice of more raises ``ValueError`` (the engine
-    makes 2 or 3); so do negative or non-finite values.
+    A zero vector has no box; it projects to 0.0 on every line, so it ties
+    on the whole lattice, at distance 0. The box is proven up to
+    ``refpoints._MAX_NEAREST_DIM`` objectives, and a lattice of more raises
+    ``ValueError`` (the engine makes 2 or 3); so do negative or non-finite
+    values.
     """
     normalized = np.atleast_2d(np.asarray(normalized, dtype=float))
     if normalized.shape[1] != refs.dim:
@@ -116,63 +103,57 @@ def associate(
         raise ValueError("normalized objective values must be finite and non-negative")
 
     uniq, inverse = _distinct_rows(normalized)
-    units = refs.unit_points  # (R, M)
     keys = [row.tobytes() for row in uniq]
     memo = refs._associations
-    found = [memo.get(key) for key in keys]  # (pick, top, ties or None)
-    missed = np.array([i for i, hit in enumerate(found) if hit is None], dtype=np.intp)
-    if missed.size:
+    found = [memo.get(key) for key in keys]  # (top cells, their distances)
+    missed = [i for i, hit in enumerate(found) if hit is None]
+    if missed:
         fresh = uniq[missed]
-        boxed = fresh.any(axis=1)  # a zero row projects to 0.0 on every line
-        grid, on_simplex = refs._box(fresh[boxed])
-        inside = np.zeros((missed.size, on_simplex.shape[1]), dtype=bool)
-        inside[boxed] = on_simplex
-        cells = np.zeros(inside.shape, dtype=np.intp)  # candidates' lattice indices
-        cells[inside] = _lattice_index([part[on_simplex] for part in grid], refs.p)
-        value = np.empty(inside.shape)
-        for pos in np.array_split(np.arange(missed.size), max(1, missed.size // _ROW_BLOCK)):
-            if pos.size == 1:
-                pos = np.repeat(pos, 2)
-            proj = uniq[missed[pos]] @ units.T  # (block, R)
-            # Only the box's entries can hold a row's best value or tie it.
-            # In the plane units of _RADIUS's proof, the best candidate's
-            # line passes within c of q and every left-out point's at least
-            # d from q, c^2 = a (M - a) / M and d^2 = 9 / (M - 1); a line
-            # passing t from q makes the angle asin(t / |q|) with v, |q| <= p.
-            # As v . u = |v| cos(angle) and cos x - cos y = (sin^2 y -
-            # sin^2 x) / (cos x + cos y), a left-out entry lies at least
-            # (d^2 - c^2) / (2 p^2) |v| below the best: 23 / (12 p^2) |v|
-            # for M = 3 (4.2e-6 |v| at p = 672), 17 / (4 p^2) |v| for M = 2.
-            # Rounding (of the unit points and of a dot product of M terms)
-            # moves an entry by at most about 1e-15 |v|, so while p <= 1e7
-            # (a margin of 1.9e-14 |v|) and |v| is a normal double, no
-            # left-out entry reaches the best one's bits. Candidates come in
-            # lattice order, so the first with those bits is the argmax.
-            value[pos] = proj[np.arange(pos.size)[:, None], cells[pos]]
-        value[~inside] = -np.inf
+        boxed = fresh.any(axis=1)  # a zero row has no box; it borrows all-ones'
+        grid, on_simplex = refs._box(np.where(boxed[:, None], fresh, 1.0))
+        units = _units(grid, refs.p)  # (rows, candidates, M)
+        # Each row is doubled so that numpy makes a matrix-matrix call (a
+        # one-row product is a matrix-vector call, whose last bits differ),
+        # and the units go in transposed, the layout a whole-lattice product
+        # gives BLAS.
+        value = (np.repeat(fresh[:, None], 2, axis=1) @ units.transpose(0, 2, 1))[:, 0]
+        # Only the box's entries can hold a row's best value or tie it.
+        # In the plane units of _RADIUS's proof, the best candidate's
+        # line passes within c of q and every left-out point's at least
+        # d from q, c^2 = a (M - a) / M and d^2 = 9 / (M - 1); a line
+        # passing t from q makes the angle asin(t / |q|) with v, |q| <= p.
+        # As v . u = |v| cos(angle) and cos x - cos y = (sin^2 y -
+        # sin^2 x) / (cos x + cos y), a left-out entry lies at least
+        # (d^2 - c^2) / (2 p^2) |v| below the best: 23 / (12 p^2) |v|
+        # for M = 3 (4.2e-6 |v| at p = 672), 17 / (4 p^2) |v| for M = 2.
+        # Rounding (of the unit points and of a dot product of M terms)
+        # moves an entry by at most about 1e-15 |v|, so while p <= 1e7
+        # (a margin of 1.9e-14 |v|) and |v| is a normal double, no
+        # left-out entry reaches the best one's bits. Candidates come in
+        # lattice order, so the first with those bits is the argmax.
+        value[~on_simplex] = -np.inf
         top = value.max(axis=1)
-        is_top = value == top[:, None]
-        pick = cells[np.arange(missed.size), is_top.argmax(axis=1)]
-        tied = is_top.sum(axis=1) > 1
-        rows = zip(missed.tolist(), boxed.tolist(), pick.tolist(), top.tolist(), tied.tolist())
-        for j, (i, has_box, first, peak, tie) in enumerate(rows):
-            if not has_box:
-                found[i] = (0, 0.0, np.arange(len(units)))
-            else:
-                found[i] = (first, peak, cells[j, is_top[j]] if tie else None)
+        row, col = np.nonzero(value == top[:, None])
+        top_cells = _lattice_index([part[row, col] for part in grid], refs.p).tolist()
+        residual = fresh[row] - top[row, None] * units[row, col]
+        top_dist = np.linalg.norm(residual, axis=1).tolist()
+        bounds = np.searchsorted(row, np.arange(1, len(missed))).tolist()
+        spans = zip(missed, boxed.tolist(), [0] + bounds, bounds + [len(top_cells)])
+        for i, has_box, a, b in spans:
+            if has_box:
+                found[i] = (top_cells[a:b], top_dist[a:b])
+            else:  # every line, all at distance 0
+                found[i] = (range(len(refs)), None)
     memo.clear()
     memo.update(zip(keys, found))
 
-    chosen = np.array([hit[0] for hit in found], dtype=np.intp)
-    best = np.array([hit[1] for hit in found])
-    for i, (_, _, ties) in enumerate(found):
-        if ties is not None:
-            chosen[i] = ties[rng.integers(ties.size)]
-
-    # a tied pick has the same projection as the argmax, so best is exact
-    residual = uniq - best[:, None] * units[chosen]
-    dist = np.linalg.norm(residual, axis=1)
-    return Association(ref_index=chosen[inverse], distance=dist[inverse])
+    chosen, dist = [], []
+    for cells, dists in found:
+        j = int(rng.integers(len(cells))) if len(cells) > 1 else 0
+        chosen.append(cells[j])
+        dist.append(0.0 if dists is None else dists[j])
+    chosen = np.array(chosen, dtype=np.intp)
+    return Association(ref_index=chosen[inverse], distance=np.array(dist)[inverse])
 
 
 def niching_select(

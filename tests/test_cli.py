@@ -469,16 +469,12 @@ def _run_capped(argv) -> subprocess.CompletedProcess:
 
 class TestHugeAllocation:
     """An allocation the system refuses exits 1 with one line, like any
-    runtime failure; the verifier asks for none."""
+    runtime failure; neither the engine nor the verifier asks for the
+    lattice."""
 
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(
-                ["run", "--n", "4", "--algo", "nsga3", "--pop-size", "9",
-                 "--divisions", "100000"],
-                id="run-lattice-37GiB",
-            ),
             pytest.param(
                 ["run", "--n", "4", "--algo", "nsga2", "--pop-size", "10000000000"],
                 id="run-population-298GiB",
@@ -491,6 +487,17 @@ class TestHugeAllocation:
         assert done.stdout == ""
         assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
+
+    def test_run_builds_no_lattice(self):
+        # the p = 100,000 lattice would take 37 GiB; association scores each
+        # value on its own candidate box
+        done = _run_capped(["run", "--n", "4", "--algo", "nsga3", "--pop-size", "9",
+                            "--divisions", "100000", "--iterations", "3"])
+        assert done.returncode == 0, done.stderr
+        rows = read_csv(done.stdout)
+        assert rows[0] == RUN_COLUMNS
+        assert len(rows) == 1 + 4  # header + iterations 0..3
+        assert all(row[4] == "100000" for row in rows[1:])
 
     def test_verify_builds_no_lattice(self):
         # the p = 100,000 lattice would take 37 GiB; the verifier reads only p

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from moea_lab import analysis, refpoints
+from moea_lab.engine import RunConfig, run_collect
 from moea_lab.problems import pareto_front_3omm
 from moea_lab.refpoints import (
     _TIE_RTOL,
@@ -129,20 +131,28 @@ class TestUnitPoints:
     def test_cached_and_normalized(self, dim, p):
         refs = generate_reference_points(dim, p)
         units = refs.unit_points
-        assert refs.unit_points is units
-        assert not units.flags.writeable
-        expected = np.array([row / np.linalg.norm(row) for row in refs.points])
+        points = refs.points
+        # bit for bit the whole-lattice normalization
+        assert np.array_equal(units, points / np.linalg.norm(points, axis=1, keepdims=True))
+        expected = np.array([row / np.linalg.norm(row) for row in points])
         np.testing.assert_allclose(units, expected, rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_verifier_builds_no_lattice(self, monkeypatch):
-        expected = analysis.verify_unique_association(8, 40), analysis.minimal_p_search(8, 20)
+        config = RunConfig(problem="3omm", n=8, pop_size=25, algorithm="nsga3",
+                           divisions=168, max_iterations=5, seed=[3, 0])
+
+        def outputs():
+            records = [dataclasses.replace(r, wall_time=0.0) for r in run_collect(config)]
+            return (analysis.verify_unique_association(8, 40),
+                    analysis.minimal_p_search(8, 20), records)
+
+        expected = outputs()
 
         def refuse(total, parts):
-            raise AssertionError("the verifier built a lattice")
+            raise AssertionError("a lattice was built")
 
         monkeypatch.setattr(refpoints, "_compositions", refuse)
-        got = analysis.verify_unique_association(8, 40), analysis.minimal_p_search(8, 20)
-        assert got == expected
+        assert outputs() == expected
 
 
 class TestPerpendicularDistance:

@@ -10,7 +10,6 @@ from moea_lab.dominance import _distinct_rows
 from moea_lab.problems import pareto_front_3omm
 from moea_lab.refpoints import _MAX_NEAREST_DIM, generate_reference_points
 from moea_lab.selection import (
-    _ROW_BLOCK,
     associate,
     crowding_distance,
     crowding_distance_select,
@@ -30,7 +29,7 @@ def minmax_front(n):
 
 
 def assert_same_draws(normalized, refs, seed):
-    """The row-blocked association equals the dense oracle: same points,
+    """The box-wise association equals the dense oracle: same points,
     bit-equal distances, same generator state after. Returns that state."""
     rng = np.random.default_rng(seed)
     oracle_rng = np.random.default_rng(seed)
@@ -184,10 +183,11 @@ class TestAssociateMatchesDense:
         # mirror-symmetric values tie between two lines: some draw happened
         assert state != np.random.default_rng(3).bit_generator.state
 
-    @pytest.mark.parametrize("k", range(1, 2 * _ROW_BLOCK + 3))
+    @pytest.mark.parametrize("k", range(1, 19))
     def test_every_block_remainder(self, k):
-        # the front's last k rows: every block length the split makes, 1 to
-        # 2 * _ROW_BLOCK - 1, occurs; from k = 5 on they hold a mirror tie
+        # the front's last k rows, from a lone row to 18, each scored as its
+        # own two-row block, against the dense oracle's k-row product; from
+        # k = 5 on they hold a mirror tie
         front = minmax_front(12)
         assert_same_draws(front[-k:], generate_reference_points(3, 252), k)
 

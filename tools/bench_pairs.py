@@ -19,7 +19,10 @@ the change wins at least nine tenths of the pairs, fails no more operations
 than the parent, and the medians differ by more than the parent's
 interquartile range. ``--trace`` adds one ``--trace 1`` run of
 ``TRACE_SECONDS`` per side at seed ``--seed + --pairs``, and ``--tier1``
-the tier-1 test time of each side, run alone after the pairs.
+the tier-1 test time of each side, run alone after the pairs:
+``TIER1_RUNS`` runs per side, alternating, parent first, all at one fixed
+hypothesis seed so that both sides draw the same examples, with each run's
+time and each side's median.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--hypothesis-seed=0"]
+TIER1_RUNS = 3
 DIGEST_LINE = "records digest per round:"
 TRACE_SECONDS = 1.0
 
@@ -144,13 +149,19 @@ def claim(summary: dict, spec: str, pairs: int, metrics: list[dict]) -> dict:
     }
 
 
-def tier1(checkout: Path) -> dict:
-    t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=checkout, env=child_env(checkout / "src"),
-                          capture_output=True, text=True, timeout=3600)
-    tail = proc.stdout.strip().splitlines()
-    return {"wall_s": round(time.perf_counter() - t0, 1), "summary": tail[-1] if tail else "",
-            "exit": proc.returncode}
+def tier1(checkouts: dict) -> dict:
+    """Each side's tier-1 runs, alternating, and the median of their times."""
+    runs = {s: [] for s in SIDES}
+    for _ in range(TIER1_RUNS):
+        for side, checkout in checkouts.items():
+            t0 = time.perf_counter()
+            proc = subprocess.run(TIER1, cwd=checkout, env=child_env(checkout / "src"),
+                                  capture_output=True, text=True, timeout=3600)
+            tail = proc.stdout.strip().splitlines()
+            runs[side].append({"wall_s": round(time.perf_counter() - t0, 1),
+                               "summary": tail[-1] if tail else "", "exit": proc.returncode})
+    return {s: {"median_wall_s": statistics.median(r["wall_s"] for r in runs[s]),
+                "runs": runs[s]} for s in SIDES}
 
 
 def machine() -> str:
@@ -226,9 +237,8 @@ def main(argv=None) -> int:
                    for s in SIDES},
             }
         if args.tier1:
-            report["tier1"] = {"command": "PYTHONPATH=src python -m pytest -q "
-                                          "--continue-on-collection-errors",
-                               **{s: tier1(checkouts[s]) for s in SIDES}}
+            report["tier1"] = {"command": "PYTHONPATH=src " + " ".join(["python", *TIER1[1:]]),
+                               **tier1(checkouts)}
         report["record_digests"] = digests
         report["runs"] = runs
     out.write_text(json.dumps(report, indent=1) + "\n")
