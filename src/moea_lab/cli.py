@@ -13,9 +13,10 @@ All randomness derives from a master seed (flag ``--seed``, else env var
 the same inputs produce byte-identical CSVs.
 
 Exit codes: 0 success, 1 runtime/IO failure (a population with no spread
-in some objective, or an allocation the system refuses), 2 usage/config
-error, a size numpy cannot index included; each failure prints one
-``error:`` line on stderr.
+in some objective, an allocation the system refuses, or an output path
+that cannot be written, which ``run`` and ``sweep`` refuse before any run),
+2 usage/config error, a size numpy cannot index included; each failure
+prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ def _write_csv(path: str | None, columns: list[str], rows: list[list]) -> None:
             raise
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Refuse, before any run, an output path ``_write_csv`` cannot write."""
+    for path in paths:
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or os.curdir
+        if not path or os.path.isdir(path) or not os.access(directory, os.W_OK):
+            raise OSError(f"cannot write {path!r}: not a file in a writable directory")
+
+
 def _usage_checked(func, *args, **kwargs):
     """Call ``func``; the ValueError it raises for bad arguments is a usage error."""
     try:
@@ -148,21 +159,10 @@ def _fan_out(
 
 def _run_rows(task) -> list[list]:
     cfg, seed_index = task
+    head = [cfg.run_id, cfg.algorithm, cfg.n, cfg.pop_size, cfg.divisions or 0,
+            cfg.crossover_rate, seed_index]
     return [
-        [
-            cfg.run_id,
-            cfg.algorithm,
-            cfg.n,
-            cfg.pop_size,
-            cfg.divisions or 0,
-            cfg.crossover_rate,
-            seed_index,
-            rec.iteration,
-            rec.covered,
-            rec.front_size,
-            rec.losses_cum,
-            len(rec.new_values),
-        ]
+        head + [rec.iteration, rec.covered, rec.front_size, rec.losses_cum, len(rec.new_values)]
         for rec in run_collect(cfg)
     ]
 
@@ -190,6 +190,7 @@ def _cmd_run(args) -> int:
         stop=args.stop,
     )
     tasks = _fan_out(base, _master_seed(args), args.seeds)
+    _check_writable(args.out)
     rows = [row for chunk in _execute_tasks(tasks, args.jobs) for row in chunk]
     _write_csv(args.out, RUN_COLUMNS, rows)
     return 0
@@ -216,129 +217,106 @@ def _cmd_verify_min_p(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep specs
 
-SPEC_LIST_KEYS = {
-    "problem",
-    "n",
-    "algo",
-    "pop_size",
-    "pop_mult",
-    "divisions",
-    "div_mult",
-    "crossover_rate",
-}
-SPEC_SCALAR_KEYS = {"mutation_prob", "iterations", "stop", "seeds"}
-SPEC_KEYS = SPEC_LIST_KEYS | SPEC_SCALAR_KEYS
 
-SPEC_DEFAULTS = {
-    "problem": ["3omm"],
-    "algo": ["nsga3"],
-    "crossover_rate": [0.0],
-    "mutation_prob": None,
-    "iterations": 1000,
-    "stop": "coverage",
-    "seeds": 1,
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# key: (type of each value, default). A key with a tuple default is a sweep
+# axis, and its repeats and comma lists extend it; the others take one value.
+SPEC_KEYS = {
+    "problem": (str, ("3omm",)),
+    "n": (int, ()),
+    "algo": (str, ("nsga3",)),
+    "pop_size": (int, ()),
+    "pop_mult": (_finite, ()),
+    "divisions": (int, ()),
+    "div_mult": (_finite, ()),
+    "crossover_rate": (_finite, (0.0,)),
+    "mutation_prob": (_finite, None),
+    "iterations": (int, 1000),
+    "stop": (str, "coverage"),
+    "seeds": (int, 1),
+}
+SPEC_SCALAR_KEYS = {
+    key for key, (_, default) in SPEC_KEYS.items() if not isinstance(default, tuple)
 }
 
 
 def parse_sweep_spec(lines) -> dict:
-    """Line-oriented key=value spec; repeated keys form sweep lists."""
-    spec: dict[str, list[str]] = {}
+    """Line-oriented key=value spec, typed by ``SPEC_KEYS`` as each line is
+    read; every key is set in the result, to its default if left out."""
+    spec: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"spec line {lineno}"
         if "=" not in line:
-            raise UsageError(f"spec line {lineno}: expected key=value, got {raw!r}")
+            raise UsageError(f"{where}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SPEC_KEYS:
-            raise UsageError(f"spec line {lineno}: unknown key {key!r}")
+            raise UsageError(f"{where}: unknown key {key!r}")
         if not value:
-            raise UsageError(f"spec line {lineno}: empty value for {key!r}")
-        values = [v.strip() for v in value.split(",")]
-        if key in SPEC_SCALAR_KEYS and (key in spec or len(values) > 1):
-            raise UsageError(f"spec line {lineno}: {key!r} takes a single value")
-        spec.setdefault(key, []).extend(values)
+            raise UsageError(f"{where}: empty value for {key!r}")
+        texts = [v.strip() for v in value.split(",")]
+        if key in SPEC_SCALAR_KEYS and (key in spec or len(texts) > 1):
+            raise UsageError(f"{where}: {key!r} takes a single value")
+        try:
+            values = tuple(SPEC_KEYS[key][0](text) for text in texts)
+        except ValueError as exc:
+            raise UsageError(f"{where}: {key!r}: {exc}") from exc
+        spec[key] = values[0] if key in SPEC_SCALAR_KEYS else spec.get(key, ()) + values
     if "n" not in spec:
         raise UsageError("spec must set n")
-    if "pop_size" in spec and "pop_mult" in spec:
-        raise UsageError("spec sets both pop_size and pop_mult")
-    if "divisions" in spec and "div_mult" in spec:
-        raise UsageError("spec sets both divisions and div_mult")
-    return spec
+    for size, mult in [("pop_size", "pop_mult"), ("divisions", "div_mult")]:
+        if size in spec and mult in spec:
+            raise UsageError(f"spec sets both {size} and {mult}")
+    return {key: spec.get(key, default) for key, (_, default) in SPEC_KEYS.items()}
+
+
+def _scaled(key: str, mult: float, base: int) -> int:
+    try:  # an infinite product, or a base too large for a float
+        return math.ceil(mult * base)
+    except OverflowError as exc:
+        raise UsageError(f"spec key {key!r}: {mult} x {base} is not a finite size") from exc
 
 
 def _expand_sweep(spec: dict, master_seed: int):
     """Cartesian product of the spec's sweep axes; one list of seeded runs
-    per configuration, each validated once."""
-
-    def finite(text):
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"expected a finite number, got {text!r}")
-        return value
-
-    def ceil_size(key, mult, base):
-        try:  # an infinite product, or a base too large for a float
-            return math.ceil(mult * base)
-        except OverflowError as exc:
-            raise UsageError(f"spec key {key!r}: {mult} x {base} is not a finite size") from exc
-
-    def get_list(key, convert):
-        if key not in spec:
-            return SPEC_DEFAULTS.get(key)
-        try:
-            return [convert(v) for v in spec[key]]
-        except ValueError as exc:
-            raise UsageError(f"spec key {key!r}: {exc}") from exc
-
-    def get_scalar(key, convert):
-        return get_list(key, convert)[0] if key in spec else SPEC_DEFAULTS[key]
-
-    problems = get_list("problem", str)
-    ns = get_list("n", int)
-    algos = get_list("algo", str)
-    chis = get_list("crossover_rate", finite)
-    pop_sizes = get_list("pop_size", int)
-    pop_mults = get_list("pop_mult", finite)
-    divisions = get_list("divisions", int)
-    div_mults = get_list("div_mult", finite)
-    mutation_prob = get_scalar("mutation_prob", finite)
-    iterations = get_scalar("iterations", int)
-    stop = get_scalar("stop", str)
-    seeds = get_scalar("seeds", int)
-
-    pop_axis = pop_sizes or pop_mults or [None]
-    div_axis = divisions if divisions is not None else (div_mults or [None])
-
+    per configuration, each validated once. ``pop_mult`` scales the front
+    size and ``div_mult`` scales n, both rounded up, and only the population
+    is raised to at least 1."""
+    axes = [spec[key] for key in ("problem", "n", "algo", "crossover_rate")]
+    pops = spec["pop_size"] or spec["pop_mult"] or (None,)
+    divs = spec["divisions"] or spec["div_mult"] or (None,)
+    seeds = spec["seeds"]
     configs = []
-    for problem, n, algo, chi, pop, div in itertools.product(
-        problems, ns, algos, chis, pop_axis, div_axis
-    ):
+    for problem, n, algo, chi, pop, div in itertools.product(*axes, pops, divs):
         front_size = _usage_checked(make_problem, problem, n).front_size
         if pop is None:
-            pop_size = front_size
-        elif pop_sizes:
-            pop_size = pop
-        else:
-            pop_size = max(1, ceil_size("pop_mult", pop, front_size))
+            pop = front_size
+        elif spec["pop_mult"]:
+            pop = max(1, _scaled("pop_mult", pop, front_size))
         if algo == "nsga2":
-            divs = None
+            div = None
         elif div is None:
             raise UsageError("nsga3 sweep needs divisions or div_mult")
-        elif divisions is not None:
-            divs = div
-        else:
-            divs = ceil_size("div_mult", div, n)
+        elif spec["div_mult"]:
+            div = _scaled("div_mult", div, n)
         base = RunConfig(
             problem=problem,
             n=n,
-            pop_size=pop_size,
+            pop_size=pop,
             algorithm=algo,
-            divisions=divs,
+            divisions=div,
             crossover_rate=chi,
-            mutation_prob=mutation_prob,
-            max_iterations=iterations,
-            stop=stop,
+            mutation_prob=spec["mutation_prob"],
+            max_iterations=spec["iterations"],
+            stop=spec["stop"],
         )
         k = len(configs)
         configs.append(_fan_out(base, master_seed, seeds, k * seeds, f"c{k}"))
@@ -353,6 +331,7 @@ def _cmd_sweep(args) -> int:
         except UnicodeDecodeError as exc:
             raise UsageError(f"spec is not text: {exc}") from exc
     configs = _expand_sweep(spec, master)
+    _check_writable(args.out, args.summary_out)
 
     chunks = _execute_tasks([task for runs in configs for task in runs], args.jobs)
     _write_csv(args.out, RUN_COLUMNS, [row for chunk in chunks for row in chunk])

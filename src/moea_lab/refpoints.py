@@ -130,11 +130,14 @@ class ReferencePointSet:
 
 def _units(grid: list, p: int) -> np.ndarray:
     """Unit vectors of lattice points given as one integer array per part,
-    stacked on a new last axis; every part may have any shape. Each norm is
-    summed along that last axis, so a point gets the same bits in any
-    array."""
-    points = np.stack(grid, axis=-1) / float(p)
-    return points / np.linalg.norm(points, axis=-1, keepdims=True)
+    stacked on a new last axis; every part may have any shape. Each squared
+    norm is summed one part at a time, ((x0^2 + x1^2) + x2^2) ..., the order
+    numpy sums a last axis of fewer than 8 items in, so a point gets the same
+    bits in any array as from ``np.linalg.norm(axis=-1)``, without a pass
+    over a short last axis."""
+    parts = [part / float(p) for part in grid]
+    norm = np.sqrt(sum(x * x for x in parts))
+    return np.stack([x / norm for x in parts], axis=-1)
 
 
 def _plane_angles(a: list, b: list) -> np.ndarray:

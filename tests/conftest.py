@@ -156,21 +156,22 @@ def exhaustive_min_pairwise_angle(n: int, block: int = 128) -> float:
 
 
 def dense_associate(normalized, refs, rng) -> Association:
-    """Oracle: association from the whole (distinct values x reference
-    points) product at once, with a separate max, argmax and tie count. A
-    lone distinct row is multiplied as two copies of itself: numpy computes
-    a one-row product as a matrix-vector call, with other last bits."""
+    """Oracle: association from each distinct row's product with the whole
+    lattice, with a separate max, argmax and tie count. Each row is
+    multiplied as two copies of itself, on its own: numpy computes a one-row
+    product as a matrix-vector call, and the last bits of a many-row product
+    can depend on how many rows it holds."""
     normalized = np.atleast_2d(np.asarray(normalized, dtype=float))
     uniq, inverse = _distinct_rows(normalized)
     units = refs.unit_points
-    proj = ((np.repeat(uniq, 2, axis=0) if len(uniq) == 1 else uniq) @ units.T)[: len(uniq)]
-    best = proj.max(axis=1)
-    chosen = np.argmax(proj, axis=1)
-    tie_rows = np.flatnonzero((proj == best[:, None]).sum(axis=1) > 1)
-    for i in tie_rows:
-        ties = np.flatnonzero(proj[i] == best[i])
-        chosen[i] = ties[rng.integers(ties.size)]
-    residual = uniq - proj[np.arange(len(chosen)), chosen, None] * units[chosen]
+    chosen, best = [], []
+    for row in uniq:
+        proj = (np.repeat(row[None], 2, axis=0) @ units.T)[0]
+        ties = np.flatnonzero(proj == proj.max())
+        chosen.append(ties[rng.integers(ties.size)] if ties.size > 1 else ties[0])
+        best.append(proj[chosen[-1]])
+    chosen = np.array(chosen, dtype=np.intp)
+    residual = uniq - np.array(best)[:, None] * units[chosen]
     dist = np.linalg.norm(residual, axis=1)
     return Association(ref_index=chosen[inverse], distance=dist[inverse])
 

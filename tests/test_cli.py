@@ -190,12 +190,36 @@ class TestSweepSpecParsing:
                 "seeds = 3\n",
             ]
         )
-        assert spec["n"] == ["4", "8"]
-        assert spec["seeds"] == ["3"]
+        assert spec["n"] == (4, 8)
+        assert spec["div_mult"] == (21.0,)
+        assert spec["seeds"] == 3
 
     def test_repeated_key_extends(self):
         spec = parse_sweep_spec(["n=4\n", "n=8,12\n"])
-        assert spec["n"] == ["4", "8", "12"]
+        assert spec["n"] == (4, 8, 12)
+
+    def test_defaults(self):
+        assert parse_sweep_spec(["n = 4"]) == {
+            "problem": ("3omm",),
+            "n": (4,),
+            "algo": ("nsga3",),
+            "pop_size": (),
+            "pop_mult": (),
+            "divisions": (),
+            "div_mult": (),
+            "crossover_rate": (0.0,),
+            "mutation_prob": None,
+            "iterations": 1000,
+            "stop": "coverage",
+            "seeds": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "line", ["n = 4, x", "seeds = 1.5", "pop_mult = inf", "crossover_rate = half"]
+    )
+    def test_bad_value_names_its_line(self, line):
+        with pytest.raises(UsageError, match="^spec line 3: "):
+            parse_sweep_spec(["n = 4\n", "# comment\n", line + "\n"])
 
     def test_error_carries_line_number(self):
         with pytest.raises(UsageError, match="line 2"):
@@ -451,6 +475,37 @@ class TestBadInput:
         assert "--pop-size" in capsys.readouterr().out
 
 
+class TestOutputPaths:
+    """An output path that cannot be written is refused before any run,
+    with exit 1 and one line."""
+
+    @pytest.fixture(autouse=True)
+    def no_runs(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("a run started before the output paths were checked")
+
+        monkeypatch.setattr("moea_lab.cli.run_collect", refuse)
+
+    @pytest.mark.parametrize(
+        "out", ["missing/out.csv", "outdir", ""], ids=["missing-dir", "directory", "empty"]
+    )
+    @pytest.mark.parametrize("flag", ["run --out", "sweep --out", "sweep --summary-out"])
+    def test_refused_before_any_run(self, capsys, monkeypatch, tmp_path, flag, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        (tmp_path / "sweep.spec").write_text(BASE_SPEC)
+        argv = {
+            "run --out": ["run", "--n", "4", "--algo", "nsga2", "--pop-size", "5", "--out", out],
+            "sweep --out": ["sweep", "sweep.spec", "--out", out],
+            "sweep --summary-out": ["sweep", "sweep.spec", "--out", "runs.csv",
+                                    "--summary-out", out],
+        }[flag]
+        got, stdout, err = run_cli(capsys, *argv)
+        assert (got, stdout) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "sweep.spec"]
+
+
 def _cap_address_space():
     # 2 GiB of address space: a request for tens of GiB is refused up front,
     # so the children below never touch the memory they ask for
@@ -597,7 +652,7 @@ SPEC_VALUES = {  # key: (values, required)
     "mutation_prob": (["0", "0.25"], False),
     "stop": (["iters", "coverage"], False),
     "seeds": (["1", "2"], False),
-    # a default of 1000 iterations would make a sweep slow
+    # always set by cli_inputs: a default of 1000 iterations would make a sweep slow
     "iterations": (["0", "1", "3"], True),
 }
 
@@ -606,8 +661,8 @@ SPEC_VALUES = {  # key: (values, required)
 def cli_inputs(draw):
     """An argv (paths under the placeholder <tmp>) and the text of a spec.
 
-    Mostly well-formed: a required flag or key is left out, and a value is
-    junk, one time in ten.
+    Mostly well-formed: a required flag or key (other than iterations) is
+    left out, and a value is junk, one time in ten.
     """
 
     def rare():
@@ -644,6 +699,8 @@ def cli_inputs(draw):
         return argv, ""
 
     keys = chosen(SPEC_VALUES)
+    if "iterations" not in keys:
+        keys.append("iterations")
     for pair in (["pop_size", "pop_mult"], ["divisions", "div_mult"]):
         if set(pair) <= set(keys) and not rare():
             keys.remove(draw(st.sampled_from(pair)))

@@ -137,6 +137,17 @@ class TestUnitPoints:
         expected = np.array([row / np.linalg.norm(row) for row in points])
         np.testing.assert_allclose(units, expected, rtol=4 * np.finfo(float).eps, atol=0)
 
+    @pytest.mark.parametrize("dim", range(2, refpoints._MAX_NEAREST_DIM + 1))
+    def test_units_bit_equal_to_linalg_norm(self, dim):
+        # random boxes' worth of points, then the whole lattice
+        p = 997
+        boxes = list(np.random.default_rng(dim).integers(0, p, size=(dim, 400, 36)) + 1)
+        whole = list(refpoints._compositions(12, dim).T)
+        for grid, q in [(boxes, p), (whole, 12)]:
+            points = np.stack(grid, axis=-1) / float(q)
+            want = points / np.linalg.norm(points, axis=-1, keepdims=True)
+            assert refpoints._units(grid, q).tobytes() == want.tobytes()
+
     def test_verifier_builds_no_lattice(self, monkeypatch):
         config = RunConfig(problem="3omm", n=8, pop_size=25, algorithm="nsga3",
                            divisions=168, max_iterations=5, seed=[3, 0])

@@ -183,6 +183,16 @@ class TestAssociateMatchesDense:
         # mirror-symmetric values tie between two lines: some draw happened
         assert state != np.random.default_rng(3).bit_generator.state
 
+    def test_many_distinct_rows(self):
+        # 1,097 distinct rows of the n = 80 front: a single product of all
+        # of them put one distance 1 ulp off the row-wise one
+        front = pareto_front_3omm(80).astype(float)
+        rows = front[np.random.default_rng(3).integers(len(front), size=1753)]
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        normalized = (rows - lo) / (hi - lo)
+        assert len(_distinct_rows(normalized)[0]) == 1097
+        assert_same_draws(normalized, generate_reference_points(3, 20), 3)
+
     @pytest.mark.parametrize("k", range(1, 19))
     def test_every_block_remainder(self, k):
         # the front's last k rows, from a lone row to 18, each scored as its
