@@ -196,8 +196,8 @@ class TestAssociateMatchesDense:
     @pytest.mark.parametrize("k", range(1, 19))
     def test_every_block_remainder(self, k):
         # the front's last k rows, from a lone row to 18, each scored as its
-        # own two-row block, against the dense oracle's k-row product; from
-        # k = 5 on they hold a mirror tie
+        # own two-row block, against the dense oracle; from k = 5 on they
+        # hold a mirror tie
         front = minmax_front(12)
         assert_same_draws(front[-k:], generate_reference_points(3, 252), k)
 
