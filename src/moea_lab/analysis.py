@@ -36,8 +36,6 @@ __all__ = [
 
 Value = tuple[int, ...]
 
-ANGLE_SLACK = 1e-12
-
 
 @dataclass
 class RunRecord:

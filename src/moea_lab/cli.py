@@ -14,9 +14,10 @@ the same inputs produce byte-identical CSVs.
 
 Exit codes: 0 success, 1 runtime/IO failure (a population with no spread
 in some objective, an allocation the system refuses, or an output path
-that cannot be written, which ``run`` and ``sweep`` refuse before any run),
-2 usage/config error, a size numpy cannot index included; each failure
-prints one ``error:`` line on stderr.
+that cannot be written), 2 usage/config error, a size numpy cannot index
+included; each failure prints one ``error:`` line on stderr. Output paths
+are checked right after the flags parse, before any other check or work,
+so a bad path exits 1 even when an argument is also bad.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import astuple, fields, replace
 from multiprocessing import Pool
 
 from .analysis import AngleReport, minimal_p_search, verify_unique_association
-from .engine import STOP_POLICIES, RunConfig, run_collect
+from .engine import ALGORITHMS, STOP_POLICIES, RunConfig, run_collect
 from .normalization import DegeneratePopulationError
-from .problems import make_problem
+from .problems import PROBLEMS, make_problem
 
 RUN_COLUMNS = [
     "run_id",
@@ -113,7 +114,7 @@ def _write_csv(path: str | None, columns: list[str], rows: list[list]) -> None:
 
 
 def _check_writable(*paths: str | None) -> None:
-    """Refuse, before any run, an output path ``_write_csv`` cannot write."""
+    """Refuse, before any work, an output path ``_write_csv`` cannot write."""
     for path in paths:
         if path is None:
             continue
@@ -190,7 +191,6 @@ def _cmd_run(args) -> int:
         stop=args.stop,
     )
     tasks = _fan_out(base, _master_seed(args), args.seeds)
-    _check_writable(args.out)
     rows = [row for chunk in _execute_tasks(tasks, args.jobs) for row in chunk]
     _write_csv(args.out, RUN_COLUMNS, rows)
     return 0
@@ -331,7 +331,6 @@ def _cmd_sweep(args) -> int:
         except UnicodeDecodeError as exc:
             raise UsageError(f"spec is not text: {exc}") from exc
     configs = _expand_sweep(spec, master)
-    _check_writable(args.out, args.summary_out)
 
     chunks = _execute_tasks([task for runs in configs for task in runs], args.jobs)
     _write_csv(args.out, RUN_COLUMNS, [row for chunk in chunks for row in chunk])
@@ -381,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="seed-sweep one configuration")
-    p_run.add_argument("--problem", choices=["omm", "3omm"], default="3omm")
+    p_run.add_argument("--problem", choices=PROBLEMS, default="3omm")
     p_run.add_argument("--n", type=int, required=True)
-    p_run.add_argument("--algo", choices=["nsga2", "nsga3"], required=True)
+    p_run.add_argument("--algo", choices=ALGORITHMS, required=True)
     p_run.add_argument("--pop-size", type=int, required=True)
     p_run.add_argument("--divisions", type=int, default=None)
     p_run.add_argument("--iterations", type=int, default=1000)
@@ -423,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_writable(getattr(args, "out", None), getattr(args, "summary_out", None))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

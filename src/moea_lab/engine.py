@@ -32,6 +32,7 @@ __all__ = [
     "run_collect",
 ]
 
+ALGORITHMS = ("nsga2", "nsga3")
 STOP_POLICIES = ("iters", "coverage")
 
 CROSSOVER_SWAP_PROB = 0.5
@@ -41,10 +42,10 @@ CROSSOVER_SWAP_PROB = 0.5
 class RunConfig:
     """Everything one optimization run needs, including its seed."""
 
-    problem: str  # 'omm' or '3omm'
+    problem: str  # a key of problems.PROBLEMS
     n: int
     pop_size: int
-    algorithm: str  # 'nsga2' or 'nsga3'
+    algorithm: str  # one of ALGORITHMS
     divisions: int | None = None  # reference lattice divisions, nsga3 only
     crossover_rate: float = 0.0
     mutation_prob: float | None = None  # defaults to 1/n
@@ -57,8 +58,8 @@ class RunConfig:
         problem = make_problem(self.problem, self.n)
         if self.pop_size < 1:
             raise ValueError(f"population size must be >= 1, got {self.pop_size}")
-        if self.algorithm not in ("nsga2", "nsga3"):
-            raise ValueError(f"algorithm must be nsga2 or nsga3, got {self.algorithm!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be {' or '.join(ALGORITHMS)}, got {self.algorithm!r}")
         if self.algorithm == "nsga3":
             if self.divisions is None or self.divisions < 1:
                 raise ValueError("nsga3 requires divisions >= 1")

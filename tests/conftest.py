@@ -97,7 +97,7 @@ def three_sum_evaluate(problem, population) -> np.ndarray:
     whole genome and one over each half."""
     population = np.atleast_2d(np.asarray(population))
     ones = population.sum(axis=1, dtype=np.int64)
-    if problem.name == "omm":
+    if problem.num_objectives == 2:
         return np.stack([problem.n - ones, ones], axis=1)
     half = problem.n // 2
     first = population[:, :half].sum(axis=1, dtype=np.int64)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from moea_lab import analysis
 from moea_lab.analysis import (
-    ANGLE_SLACK,
     coverage,
     detect_loss,
     minimal_p_search,
@@ -26,6 +25,9 @@ from conftest import (
     stacked_nearest,
     tuple_set_coverage,
 )
+
+# float rounding in arccos of a cosine within one ulp of 1
+ANGLE_SLACK = 1e-12
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -461,6 +461,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("out", ["", "outdir"], ids=["empty-path", "directory"])
     def test_failed_write_leaves_no_temporary(self, capsys, monkeypatch, tmp_path, out):
+        # past the up-front path check, so that the write itself fails
+        monkeypatch.setattr("moea_lab.cli._check_writable", lambda *paths: None)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "outdir").mkdir()
         got, _, err = run_cli(capsys, "verify", "--n", "4", "--p", "10", "--out", out)
@@ -476,20 +478,25 @@ class TestBadInput:
 
 
 class TestOutputPaths:
-    """An output path that cannot be written is refused before any run,
+    """An output path that cannot be written is refused before any work,
     with exit 1 and one line."""
 
     @pytest.fixture(autouse=True)
-    def no_runs(self, monkeypatch):
-        def refuse(cfg):
-            raise AssertionError("a run started before the output paths were checked")
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the output paths were checked")
 
-        monkeypatch.setattr("moea_lab.cli.run_collect", refuse)
+        for name in ("run_collect", "verify_unique_association", "minimal_p_search"):
+            monkeypatch.setattr(f"moea_lab.cli.{name}", refuse)
 
     @pytest.mark.parametrize(
         "out", ["missing/out.csv", "outdir", ""], ids=["missing-dir", "directory", "empty"]
     )
-    @pytest.mark.parametrize("flag", ["run --out", "sweep --out", "sweep --summary-out"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["run --out", "sweep --out", "sweep --summary-out", "verify --out", "verify-min-p --out",
+         "verify --out, odd n"],
+    )
     def test_refused_before_any_run(self, capsys, monkeypatch, tmp_path, flag, out):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "outdir").mkdir()
@@ -499,6 +506,11 @@ class TestOutputPaths:
             "sweep --out": ["sweep", "sweep.spec", "--out", out],
             "sweep --summary-out": ["sweep", "sweep.spec", "--out", "runs.csv",
                                     "--summary-out", out],
+            "verify --out": ["verify", "--n", "4", "--p", "10", "--out", out],
+            "verify-min-p --out": ["verify-min-p", "--n", "128", "--p-min", "91",
+                                   "--p-max", "2688", "--out", out],
+            # the path is checked before the arguments, so this exits 1, not 2
+            "verify --out, odd n": ["verify", "--n", "5", "--p", "10", "--out", out],
         }[flag]
         got, stdout, err = run_cli(capsys, *argv)
         assert (got, stdout) == (1, "")

@@ -7,7 +7,6 @@ from moea_lab.problems import (
     make_problem,
     one_min_max,
     pareto_front_3omm,
-    pareto_front_oneminmax,
     three_omm,
 )
 
@@ -77,12 +76,17 @@ class TestParetoFront3OMM:
         with pytest.raises(ValueError):
             pareto_front_3omm(5)
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
-    def test_front_matches_brute_force(self, n):
+    @pytest.mark.parametrize("make,n", [
+        *(pytest.param(three_omm, n, id=f"{n}") for n in (2, 4, 6, 8, 10, 12)),
+        *(pytest.param(one_min_max, n, id=f"omm-{n}") for n in (1, 2, 5, 8, 11)),
+    ])
+    def test_front_matches_brute_force(self, make, n):
         # every genome's value is on the front and every front value is hit
-        front = {tuple(v) for v in pareto_front_3omm(n)}
-        achieved = {tuple(v) for v in three_omm(n).evaluate(all_genomes(n))}
-        assert achieved == front
+        prob = make(n)
+        front = prob.front()
+        assert front.dtype == np.int64 and len(front) == prob.front_size
+        achieved = {tuple(v) for v in prob.evaluate(all_genomes(n))}
+        assert achieved == {tuple(v) for v in front}
 
 
 class TestProblemObjects:
@@ -112,14 +116,8 @@ class TestProblemObjects:
         assert np.array_equal(values, three_sum_evaluate(prob, pop))
 
     def test_omm_front(self):
-        assert {tuple(v) for v in pareto_front_oneminmax(3)} == {
-            (3, 0),
-            (2, 1),
-            (1, 2),
-            (0, 3),
-        }
-        prob = one_min_max(3)
-        assert prob.front().shape == (4, 2)
+        # ordered by ones count, ascending
+        assert one_min_max(3).front().tolist() == [[3, 0], [2, 1], [1, 2], [0, 3]]
 
     def test_factory(self):
         assert make_problem("omm", 5).num_objectives == 2
