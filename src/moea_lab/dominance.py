@@ -24,15 +24,27 @@ def fast_nondominated_sort(values, sense: str = "min") -> list[np.ndarray]:
     classic O(M * U^2) domination-count scheme; the strict-domination matrix
     is built one objective at a time, compared in ``sense``'s direction (no
     negation, which would wrap unsigned values), so no (U, U, M) temporary
-    exists. A Kung/Jensen sweep would take O(U log U) for M <= 3, but on
-    OneMinMax and 3-OMM every value is Pareto-optimal, so U is at most the
-    front size (441 for 3-OMM at n = 40) and the peeling ends after one layer.
+    exists.
+
+    Integer or bool rows whose sums are all equal form one front, found
+    without the matrix: a row that strictly dominates another has the
+    strictly larger sum (``"max"``) or smaller sum (``"min"``). The sums are
+    taken in int64 only when M * max|value| < 2**63, so they are exact;
+    float sums can round equal for rows that dominate. OneMinMax and 3-OMM
+    values always sum to n, so their populations never build the matrix,
+    which leaves no reason for a Kung/Jensen sweep (O(U log U) for M <= 3).
     """
     values = np.atleast_2d(np.asarray(values))
     if values.shape[0] == 0:
         raise ValueError("population must be non-empty")
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    if values.dtype.kind in "biu" and values.size:
+        bound = max(int(values.max()), -int(values.min()))
+        if values.shape[1] * bound < 2**63:
+            sums = values.sum(axis=1, dtype=np.int64)
+            if np.all(sums == sums[0]):
+                return [np.arange(values.shape[0])]
     at_least_as_good = np.less_equal if sense == "min" else np.greater_equal
 
     uniq, inverse = _distinct_rows(values)

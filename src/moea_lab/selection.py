@@ -24,12 +24,16 @@ it would draw a different stream, and that switch is still open.
 
 Niching keeps the active reference points in buckets by niche count, each
 bucket in lattice order, so every pick draws among the same points, with the
-same calls, as a scan of all active points would.
+same calls, as a scan of all active points would. Its draws are replayed
+from one batch of 32-bit words (``_replayed_draws``), word for word as
+numpy's bounded draw would take them, and the generator ends in the state
+the scalar calls would leave.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +160,46 @@ def associate(
     return Association(ref_index=chosen[inverse], distance=np.array(dist)[inverse])
 
 
+@contextmanager
+def _replayed_draws(rng: np.random.Generator, size: int):
+    """Yield ``below(b)``, which returns what ``int(rng.integers(b))`` would
+    for 1 <= b < 2**32, drawing from one batch of ``size`` 32-bit words.
+
+    numpy's bounded draw (Lemire 2019) is a fixed function of the
+    generator's 32-bit words: word x gives (x * b) >> 32 unless its low 32
+    bits, (x * b) % 2**32, fall below (2**32 - b) % b, in which case x is
+    rejected and the next word is tried; b = 1 gives 0 and takes no word.
+    A batch of ``rng.integers(0, 2**32, dtype=np.uint32)`` is that same word
+    stream, so ``below`` replays the scalar calls from it, drawing another
+    batch if it runs out. On exit the generator is reset to its state
+    before the batch and advanced by exactly the words used, so it ends as
+    the scalar calls would leave it.
+    """
+    state = rng.bit_generator.state
+    words: list[int] = []
+    used = 0
+
+    def below(b: int) -> int:
+        nonlocal used
+        if b == 1:
+            return 0
+        while True:
+            if used == len(words):
+                words.extend(rng.integers(0, 2**32, size=max(size, 1), dtype=np.uint32).tolist())
+            x = words[used] * b
+            used += 1
+            # x % 2**32 < b is the cheap test; the threshold is below b
+            if (x & 0xFFFFFFFF) >= b or (x & 0xFFFFFFFF) >= (2**32 - b) % b:
+                return x >> 32
+
+    try:
+        yield below
+    finally:
+        rng.bit_generator.state = state
+        if used:
+            rng.integers(0, 2**32, size=used, dtype=np.uint32)
+
+
 def niching_select(
     selected_refs: np.ndarray,
     cand_refs: np.ndarray,
@@ -171,16 +215,18 @@ def niching_select(
     an active reference point of minimal niche count (ties uniform, in
     lattice order); if it still has unselected candidates one is taken (the
     distance-minimal one while the niche is empty, a uniform one afterwards)
-    and its count incremented, else the point is retired. Reference points with no candidates at all
-    are retired up front; this does not change the distribution of
-    outcomes, only skips the no-op visits.
+    and its count incremented, else the point is retired. Reference points
+    with no candidates at all are retired up front; this does not change
+    the distribution of outcomes, only skips the no-op visits.
 
     Only the points with candidates are counted. They sit in one list per
     niche count, in lattice order; a pick moves its point up one list by
     insertion in order, so each pick draws among the same points, with the
     same ``rng.integers`` calls, as a scan of all active points. A pool is
     intact while its count is 0, so its distance-minimal positions are
-    found once, up front.
+    found once, up front. The calls are replayed from one batch of words
+    (``_replayed_draws``): the same values, and the same generator state
+    after, as scalar ``rng.integers`` calls.
 
     Returns the chosen candidate indices in selection order.
     """
@@ -215,22 +261,24 @@ def niching_select(
         buckets.setdefault(count, []).append(j)
 
     chosen: list[int] = []
-    while len(chosen) < k:
-        level = min(buckets)
-        bucket = buckets[level]
-        j = bucket.pop(int(rng.integers(len(bucket))) if len(bucket) > 1 else 0)
-        if not bucket:
-            del buckets[level]
-        pool = pools[j]
-        if not pool:
-            continue
-        if level == 0:
-            c = near_count[j]
-            pos = near_pos[near_start[j] + (int(rng.integers(c)) if c > 1 else 0)]
-        else:
-            pos = int(rng.integers(len(pool)))
-        chosen.append(pool.pop(pos))
-        insort(buckets.setdefault(level + 1, []), j)
+    # at most one draw per retirement and two per pick, each one word
+    # unless rejected
+    with _replayed_draws(rng, 2 * k + len(pools)) as below:
+        while len(chosen) < k:
+            level = min(buckets)
+            bucket = buckets[level]
+            j = bucket.pop(below(len(bucket)))
+            if not bucket:
+                del buckets[level]
+            pool = pools[j]
+            if not pool:
+                continue
+            if level == 0:
+                pos = near_pos[near_start[j] + below(near_count[j])]
+            else:
+                pos = below(len(pool))
+            chosen.append(pool.pop(pos))
+            insort(buckets.setdefault(level + 1, []), j)
     return np.array(chosen, dtype=np.int64)
 
 

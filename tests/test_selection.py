@@ -10,6 +10,7 @@ from moea_lab.dominance import _distinct_rows
 from moea_lab.problems import pareto_front_3omm
 from moea_lab.refpoints import _MAX_NEAREST_DIM, generate_reference_points
 from moea_lab.selection import (
+    _replayed_draws,
     associate,
     crowding_distance,
     crowding_distance_select,
@@ -368,6 +369,69 @@ class TestNichingMatchesLoop:
             for k in (1, len(cand_refs) // 2, len(cand_refs)):
                 assert_same_picks(assoc.ref_index[:carried], cand_refs,
                                   assoc.distance[carried:], k, refs, seed)
+
+    def test_front_at_40_186(self):
+        # nsga3-xover's scale: the n = 40 front drawn with repeats to
+        # 2N = 882 rows, N = 441 picks after a carried block
+        front = minmax_front(40)
+        refs = generate_reference_points(3, 186)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            values = front[rng.integers(len(front), size=882)]
+            assoc = associate(values, refs, rng)
+            carried = int(rng.integers(441))
+            assert_same_picks(assoc.ref_index[:carried], assoc.ref_index[carried:],
+                              assoc.distance[carried:], 441, refs, seed)
+
+
+# bounds of every size, many just above 2**31, where about half of all
+# words are rejected
+DRAW_BOUNDS = st.one_of(
+    st.integers(1, 2**32 - 1),
+    st.integers(2**31 + 1, 2**31 + 2**16),
+    st.integers(1, 64),
+)
+
+
+class TestReplayedDraws:
+    @given(
+        bounds=st.lists(DRAW_BOUNDS, min_size=1, max_size=60),
+        batch=st.integers(1, 60),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_draws(self, bounds, batch, warm, seed):
+        rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        if warm:
+            # a scalar draw takes one 32-bit half of a 64-bit output and
+            # keeps the other for the next word; b = 2 rejects no word
+            rng.integers(2)
+            oracle_rng.integers(2)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        with _replayed_draws(rng, batch) as below:
+            got = [below(b) for b in bounds]
+        want = [int(oracle_rng.integers(b)) for b in bounds]
+        assert got == want
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_no_draw_leaves_the_state(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with _replayed_draws(rng, 10) as below:
+            assert [below(1) for _ in range(5)] == [0] * 5
+        assert rng.bit_generator.state == state
+
+    def test_state_restored_on_error(self):
+        rng = np.random.default_rng(4)
+        oracle_rng = np.random.default_rng(4)
+        with pytest.raises(RuntimeError):
+            with _replayed_draws(rng, 100) as below:
+                below(7)
+                raise RuntimeError
+        oracle_rng.integers(7)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestCrowdingDistance:
