@@ -1,10 +1,11 @@
 """Generation loop shared by NSGA-II and NSGA-III.
 
 Each iteration: build N offspring (mutation only, or random pairing +
-uniform crossover + mutation), rank parents and offspring together, carry
-over all fronts that fit, and fill the remaining slots from the critical
-front via reference-point niching (NSGA-III) or crowding distance
-(NSGA-II). One run owns its generator and is strictly sequential; separate
+uniform crossover + mutation), then keep N of the 2N parents and offspring
+by reference-point niching (NSGA-III) or crowding distance (NSGA-II). The
+2N rows form one front (see ``problems``), so survival selects from all of
+them; a problem whose rows did not share a sum would need a multi-front
+split. One run owns its generator and is strictly sequential; separate
 runs share nothing mutable.
 """
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import genome as gn
 from .analysis import RunRecord, coverage, detect_loss
 from .dominance import fast_nondominated_sort
+# unused here; perfbench's tracer patches update_ideal_and_worst in this module
 from .normalization import NormalizationState, normalize, update_ideal_and_worst
 from .problems import Problem, make_problem, require_indexable
 from .refpoints import ReferencePointSet, generate_reference_points
@@ -82,7 +84,7 @@ class RunConfig:
 
 @dataclass
 class GenerationState:
-    """Mutable per-run state carried across iterations."""
+    """Mutable per-run state kept across iterations."""
 
     population: np.ndarray  # (N, n) bits
     norm: NormalizationState
@@ -115,47 +117,6 @@ def make_offspring(
     return gn.mutate_population(children, flip, rng)
 
 
-def _select_survivors(
-    values: np.ndarray,
-    fronts: list[np.ndarray],
-    config: RunConfig,
-    state: GenerationState,
-    refs: ReferencePointSet | None,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Indices (into the combined population) surviving this iteration."""
-    size = config.pop_size
-    # the critical front is the first that brings the count to size
-    i_star = int(np.searchsorted(np.cumsum([len(f) for f in fronts]), size))
-    carried = np.concatenate([np.array([], dtype=np.int64), *fronts[:i_star]])
-    critical = fronts[i_star]
-    pool = np.concatenate([carried, critical])
-    k = size - carried.size
-
-    if k == critical.size:
-        # whole critical front fits exactly; geometry not needed, but NSGA-III
-        # still advances the running ideal/worst its later normalize calls read
-        if config.algorithm == "nsga3":
-            state.norm = update_ideal_and_worst(state.norm, values[pool])
-        chosen = critical
-    elif config.algorithm == "nsga3":
-        front_values = [values[f] for f in fronts]
-        nvals, state.norm = normalize(state.norm, values[pool], front_values)
-        assoc = associate(nvals, refs, rng)
-        sel = niching_select(
-            selected_refs=assoc.ref_index[: carried.size],
-            cand_refs=assoc.ref_index[carried.size :],
-            cand_dists=assoc.distance[carried.size :],
-            k=k,
-            rng=rng,
-        )
-        chosen = critical[sel]
-    else:
-        sel = crowding_distance_select(values[critical], k, rng)
-        chosen = critical[sel]
-    return np.concatenate([carried, chosen])
-
-
 def run_iteration(
     state: GenerationState,
     config: RunConfig,
@@ -163,12 +124,20 @@ def run_iteration(
     refs: ReferencePointSet | None,
     rng: np.random.Generator,
 ) -> None:
-    """One full generation: offspring, ranking, survivor selection."""
+    """One full generation: offspring, then survivors from all 2N rows.
+    Raises ``RuntimeError`` if the rows rank into more than one front."""
     offspring = make_offspring(state.population, config, rng)
     combined = np.concatenate([state.population, offspring], axis=0)
     values = problem.evaluate(combined)
     fronts = fast_nondominated_sort(values, sense="max")
-    survivors = _select_survivors(values, fronts, config, state, refs, rng)
+    if len(fronts) > 1:
+        raise RuntimeError(f"parents and offspring form {len(fronts)} fronts, not one")
+    if config.algorithm == "nsga3":
+        nvals, state.norm = normalize(state.norm, values)
+        assoc = associate(nvals, refs, rng)
+        survivors = niching_select(assoc.ref_index, assoc.distance, k=config.pop_size, rng=rng)
+    else:
+        survivors = crowding_distance_select(values, config.pop_size, rng)
     state.population = combined[survivors]
 
 

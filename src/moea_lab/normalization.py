@@ -3,10 +3,11 @@
 Per selection step the procedure is: merge the running ideal/worst
 estimates with the current values, pick one extreme point per objective by
 an achievement scalarization function (ASF) over current values plus the
-extremes carried from the previous iteration, try to estimate the nadir
+extremes kept from the previous iteration, try to estimate the nadir
 point from the intercepts of the hyperplane through the extreme points,
-and fall back to per-front maxima when the intercepts are unusable. The
-normalized objectives are (f_j - ideal_j) / (nadir_j - ideal_j).
+and fall back to the current values' maxima where the intercepts are
+unusable. The normalized objectives are (f_j - ideal_j) / (nadir_j -
+ideal_j).
 """
 
 from __future__ import annotations
@@ -125,30 +126,24 @@ def hyperplane_intercepts(
 
 
 def normalize(
-    state: NormalizationState,
-    values: np.ndarray,
-    fronts: list[np.ndarray],
+    state: NormalizationState, values: np.ndarray
 ) -> tuple[np.ndarray, NormalizationState]:
     """Full normalization cascade for one selection step.
 
-    ``values`` are the objective vectors the selection operates on (the
-    already-selected individuals plus the critical front); ``fronts`` are
-    the objective values of the ranked fronts of the whole combined
-    population (fronts[0] first). Returns ``values`` normalized, as
+    ``values`` are the objective vectors the selection operates on, all 2N
+    parents and offspring in the engine. Returns ``values`` normalized, as
     (values - ideal) / (nadir - ideal), and the updated state (new
-    ideal/worst, carried extremes, nadir).
+    ideal/worst, extremes, nadir).
 
-    Nadir cascade: hyperplane intercepts when the extreme points span a
-    plane and every intercept I_j satisfies eps <= I_j <= worst_j; else the
-    per-objective maximum over the first front; any objective still within
-    eps of the ideal falls back to the maximum over all fronts; if that
+    Nadir cascade, in two steps: the hyperplane intercepts when the extreme
+    points span a plane and every intercept I_j satisfies eps <= I_j <=
+    worst_j, else the per-objective maximum of ``values``; then any
+    objective still within eps of the ideal takes that maximum too. If that
     still leaves no spread, the population is degenerate and an error is
     raised.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] == 0:
-        raise ValueError("objective value batch must be non-empty")
-    state = update_ideal_and_worst(state, values)
+    state = update_ideal_and_worst(state, values)  # refuses an empty batch
     ideal = state.ideal
     worst = state.worst
     eps = EPSILON_NADIR
@@ -157,16 +152,10 @@ def normalize(
     m = values.shape[1]
     extremes = np.stack([extreme_point(j, candidates, ideal) for j in range(m)])
 
+    nadir = values.max(axis=0)
     valid, intercepts = hyperplane_intercepts(extremes, ideal)
     if valid and np.all((intercepts >= eps) & (intercepts <= worst)):
-        nadir = intercepts.copy()
-    else:
-        nadir = np.asarray(fronts[0], dtype=float).max(axis=0)
-
-    low = np.flatnonzero(nadir < ideal + eps)
-    if low.size:
-        all_values = np.concatenate([np.atleast_2d(f) for f in fronts], axis=0)
-        nadir[low] = all_values[:, low].max(axis=0)
+        nadir = np.where(intercepts < ideal + eps, nadir, intercepts)
 
     still_flat = np.flatnonzero(nadir < ideal + eps)
     if still_flat.size:

@@ -2,9 +2,12 @@
 
 Both maximization benchmarks split a bit string of length ``n`` into
 blocks and count the zeros, then the ones in each block: OneMinMax (M=2)
-has one block, 3-OMM (M=3, even n) the two halves. Every bit string is
-Pareto-optimal, so the front is every combination of per-block ones
-counts, prod(b + 1) values over the block lengths b.
+has one block, 3-OMM (M=3, even n) the two halves. Each row is (zeros,
+ones per block), so every row sums to n and no row dominates another:
+every bit string is Pareto-optimal, any population is one front (the
+engine selects survivors from all of it), and the front is every
+combination of per-block ones counts, prod(b + 1) values over the block
+lengths b.
 """
 
 from __future__ import annotations

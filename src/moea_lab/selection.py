@@ -1,4 +1,4 @@
-"""Survivor selection on the critical front.
+"""Survivor selection over all 2N parents and offspring, one front.
 
 Two paths: reference-point association + niching (the NSGA-III route) and
 crowding distance (the NSGA-II route). All random tie-breaks draw from the
@@ -201,18 +201,17 @@ def _replayed_draws(rng: np.random.Generator, size: int):
 
 
 def niching_select(
-    selected_refs: np.ndarray,
     cand_refs: np.ndarray,
     cand_dists: np.ndarray,
     k: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Pick ``k`` critical-front members by reference-point niching.
+    """Pick ``k`` candidates by reference-point niching.
 
-    ``selected_refs`` holds the reference indices of the already-selected
-    individuals (their niche counts seed rho); ``cand_refs`` /
-    ``cand_dists`` describe the critical-front candidates. Repeatedly takes
-    an active reference point of minimal niche count (ties uniform, in
+    ``cand_refs`` / ``cand_dists`` give each candidate's reference point and
+    its distance to that point's line; in the engine the candidates are all
+    2N parents and offspring, so every niche count starts at 0. Repeatedly
+    takes an active reference point of minimal niche count (ties uniform, in
     lattice order); if it still has unselected candidates one is taken (the
     distance-minimal one while the niche is empty, a uniform one afterwards)
     and its count incremented, else the point is retired. Reference points
@@ -242,7 +241,6 @@ def niching_select(
     grouped = cand_refs[order]
     starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
     sizes = np.diff(np.r_[starts, n_cand])
-    points = grouped[starts]
     flat = order.tolist()
     pools = [flat[a : a + s] for a, s in zip(starts.tolist(), sizes.tolist())]
 
@@ -254,12 +252,7 @@ def niching_select(
     near_start = (np.cumsum(near_count) - near_count).tolist()
     near_count = near_count.tolist()
 
-    sel = np.sort(np.asarray(selected_refs))
-    rho = np.searchsorted(sel, points, "right") - np.searchsorted(sel, points, "left")
-    buckets: dict[int, list[int]] = {}
-    for j, count in enumerate(rho.tolist()):
-        buckets.setdefault(count, []).append(j)
-
+    buckets = {0: list(range(len(pools)))}
     chosen: list[int] = []
     # at most one draw per retirement and two per pick, each one word
     # unless rejected

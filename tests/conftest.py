@@ -51,7 +51,7 @@ def dominates(a, b, sense: str = "min") -> str:
     if a.shape != b.shape:
         raise ValueError(f"objective dimension mismatch: {a.shape} vs {b.shape}")
     if sense == "max":
-        a, b = -a, -b
+        a, b = b, a  # not negated, which would wrap unsigned, bool and -2**63
     elif sense != "min":
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     if np.all(a <= b):

@@ -213,7 +213,7 @@ def test_criterion_7_normalization_oracle():
         values = prob.evaluate(random_population(50, n, rng)).astype(float)
         values[0] = [n, 0, 0]
         values[1] = [0, n // 2, n // 2]
-        nv, _ = normalize(NormalizationState(), values, [values])
+        nv, _ = normalize(NormalizationState(), values)
         lo, hi = values.min(axis=0), values.max(axis=0)
         expected = (values - lo) / (hi - lo)
         worst = max(worst, float(np.abs(nv - expected).max()))

@@ -30,11 +30,31 @@ def brute_force_ranks(values, sense):
     return fronts
 
 
+# kind -> (dtype, levels): rows that share one sum, the case the sort ranks
+# without its domination matrix; near 2**62 the int64 sums of M >= 2 columns
+# can wrap, so the sort must refuse that shortcut
+EQUAL_SUM_KINDS = {
+    "int8": (np.int8, (-3, 6)),
+    "uint8": (np.uint8, (0, 6)),
+    "int64": (np.int64, (-3, 6)),
+    "bool": (np.bool_, (0, 2)),
+    "int64 near 2**62": (np.int64, (2**62, 2**62 + 6)),
+}
+
+
 def draw_values(rng, kind, size, m):
-    """Objective rows from a few levels, so equal rows and ties are common."""
+    """Objective rows from a few levels, so equal rows and ties are common.
+    An ``EQUAL_SUM_KINDS`` kind permutes one row, so all rows share its sum;
+    half the time one row is then redrawn, which may break the tie."""
     if kind == "int":
         return rng.integers(0, 6, size=(size, m))
-    return rng.choice([-1.5, 0.0, 0.25, 1.0, 1.0 + 2**-52, 3.5], size=(size, m))
+    if kind == "float":
+        return rng.choice([-1.5, 0.0, 0.25, 1.0, 1.0 + 2**-52, 3.5], size=(size, m))
+    dtype, levels = EQUAL_SUM_KINDS[kind]
+    values = rng.permuted(np.tile(rng.integers(*levels, size=m), (size, 1)), axis=1)
+    if rng.random() < 0.5:
+        values[rng.integers(size)] = rng.integers(*levels, size=m)
+    return values.astype(dtype)
 
 
 class TestDominates:
@@ -108,10 +128,10 @@ class TestFastNondominatedSort:
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(1, 64),
         m=st.integers(1, 4),
-        kind=st.sampled_from(["int", "float"]),
+        kind=st.sampled_from(["int", "float", *EQUAL_SUM_KINDS]),
         sense=st.sampled_from(["min", "max"]),
     )
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=240, deadline=None)
     def test_matches_brute_force_oracle(self, seed, size, m, kind, sense):
         rng = np.random.default_rng(seed)
         values = draw_values(rng, kind, size, m)
@@ -131,6 +151,20 @@ class TestFastNondominatedSort:
     def test_bool_max_example(self):
         fronts = fast_nondominated_sort(np.array([[False], [True]]), "max")
         assert [f.tolist() for f in fronts] == [[1], [0]]
+
+    @pytest.mark.parametrize("values", [
+        # both int64 sums wrap to -2**62; the overflow guard must see that
+        np.array([[2**62] * 3, [2**62, -(2**63), 0]], dtype=np.int64),
+        # 1e16 + 1 rounds to 1e16; float rows must not take the shortcut
+        np.array([[1e16, 1.0], [1e16, 0.0]]),
+    ], ids=["int64-wrapped", "float-rounded"])
+    @pytest.mark.parametrize("sense,expected", [("max", [[0], [1]]), ("min", [[1], [0]])])
+    def test_sums_that_compare_equal_are_two_fronts(self, values, sense, expected):
+        # the first row strictly dominates the second under "max"
+        sums = values.sum(axis=1)
+        assert sums[0] == sums[1]
+        fronts = fast_nondominated_sort(values, sense)
+        assert [f.tolist() for f in fronts] == expected
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -19,27 +19,20 @@ from conftest import PRINT_PEAK_KB, dense_associate
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def assert_best_fronts_survive(pre, post, cfg, prob, rng_state):
-    """Re-derive the fronts of the combined population the iteration from
-    ``pre`` to ``post`` ranked (its offspring drawn from ``rng_state``):
-    every front before the critical one survives whole, the rest come from
-    the critical front, and exactly ``pop_size`` individuals remain.
-    Returns the critical front's 0-based rank."""
+def assert_survivors_from_one_front(pre, post, cfg, prob, rng_state):
+    """Re-derive the parents and offspring the iteration from ``pre`` to
+    ``post`` selected from (its offspring drawn from ``rng_state``): they
+    rank as one front, and ``post`` is ``pop_size`` of them."""
     replay = np.random.default_rng()
     replay.bit_generator.state = rng_state
     combined = np.concatenate([pre, make_offspring(pre, cfg, replay)])
-    fronts = fast_nondominated_sort(prob.evaluate(combined), "max")
-    # the critical front is the first one that brings the count to N
-    critical = int(np.searchsorted(np.cumsum([len(f) for f in fronts]), cfg.pop_size))
+    assert len(fast_nondominated_sort(prob.evaluate(combined), "max")) == 1
 
     def genomes(rows):
         return Counter(row.tobytes() for row in rows)
 
-    before = genomes(row for f in fronts[:critical] for row in combined[f])
-    through = genomes(row for f in fronts[: critical + 1] for row in combined[f])
     assert post.shape == (cfg.pop_size, cfg.n)
-    assert before <= genomes(post) <= through
-    return critical
+    assert genomes(post) <= genomes(combined)
 
 
 class OneMaxTwice:
@@ -200,8 +193,7 @@ class TestRun:
             pre = state.population.copy()
             rng_state = rng.bit_generator.state
             run_iteration(state, cfg, prob, refs, rng)
-            critical = assert_best_fronts_survive(pre, state.population, cfg, prob, rng_state)
-            assert critical == 0  # 3-OMM: single front
+            assert_survivors_from_one_front(pre, state.population, cfg, prob, rng_state)
 
     def test_same_seed_identical_records(self):
         a = run_collect(config(max_iterations=30))
@@ -251,29 +243,22 @@ class TestRun:
         with pytest.raises(ValueError):
             list(run_collect(bad))
 
-    def test_critical_rank_defining_property(self, rng):
-        # fronts before i* survive whole, the rest of N comes from front i*;
-        # on OneMinMax every value is Pareto-optimal, so the ranked problem
-        # here has one front per distinct value
+    @pytest.mark.parametrize("algorithm,divisions", [("nsga2", None), ("nsga3", 12)])
+    def test_more_than_one_front_raises(self, algorithm, divisions, rng):
+        # OneMaxTwice ranks each ones count as its own front; parents at 0
+        # and at 12 ones stay more than one front after mutation
         from moea_lab.engine import run_iteration
         from moea_lab.normalization import NormalizationState
-        from moea_lab import genome as gn
+        from moea_lab.refpoints import generate_reference_points
 
-        cfg = config(problem="omm", n=12, pop_size=6, algorithm="nsga2", divisions=None)
-        prob = OneMaxTwice()
-        state = GenerationState(
-            population=gn.random_population(cfg.pop_size, cfg.n, rng),
-            norm=NormalizationState(),
-        )
-        ranks = []
-        for _ in range(20):
-            pre = state.population.copy()
-            rng_state = rng.bit_generator.state
-            run_iteration(state, cfg, prob, None, rng)
-            ranks.append(
-                assert_best_fronts_survive(pre, state.population, cfg, prob, rng_state)
-            )
-        assert max(ranks) > 0
+        cfg = config(problem="omm", n=12, pop_size=6, algorithm=algorithm, divisions=divisions)
+        population = np.zeros((6, 12), dtype=np.uint8)
+        population[3:] = 1
+        state = GenerationState(population=population.copy(), norm=NormalizationState())
+        refs = generate_reference_points(2, divisions) if divisions else None
+        with pytest.raises(RuntimeError, match=r"form \d+ fronts, not one"):
+            run_iteration(state, cfg, OneMaxTwice(), refs, rng)
+        assert np.array_equal(state.population, population)
 
 
 # (problem, n, pop_size, divisions, crossover_rate): 3-OMM at the golden

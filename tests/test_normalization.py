@@ -99,7 +99,7 @@ class TestNormalize:
 
     def test_full_front_n4(self):
         state, front = self._full_front_state(4)
-        nv, state = normalize(state, front, [front])
+        nv, state = normalize(state, front)
         assert state.ideal.tolist() == [0, 0, 0]
         assert state.nadir.tolist() == [4, 2, 2]
         middle = front.tolist().index([2, 1, 1])
@@ -110,13 +110,13 @@ class TestNormalize:
         values = three_omm(n).evaluate(random_population(40, n, rng)).astype(float)
         values[0] = [n, 0, 0]
         values[1] = [0, n // 2, n // 2]
-        nv, _ = normalize(NormalizationState(), values, [values])
+        nv, _ = normalize(NormalizationState(), values)
         assert np.allclose(nv.min(axis=0), 0.0, atol=1e-12)
         assert np.allclose(nv.max(axis=0), 1.0, atol=1e-12)
 
     def test_ideal_maps_to_zero(self, rng):
         values = rng.integers(0, 6, (20, 3)).astype(float)
-        nv, state = normalize(NormalizationState(), values, [values])
+        nv, state = normalize(NormalizationState(), values)
         # a fresh state's ideal is each objective's minimum over the values
         assert np.array_equal(state.ideal, values.min(axis=0))
         assert np.all(nv.min(axis=0) == 0.0)
@@ -127,7 +127,7 @@ class TestNormalize:
         state = NormalizationState()
         for _ in range(10):
             values = rng.integers(0, 9, (30, 3))
-            nv, state = normalize(state, values, [values])
+            nv, state = normalize(state, values)
             want = (values.astype(float) - state.ideal) / (state.nadir - state.ideal)
             assert nv.dtype == np.float64
             assert nv.tobytes() == want.tobytes()
@@ -135,14 +135,14 @@ class TestNormalize:
     def test_degenerate_population_raises(self):
         values = np.tile([3.0, 3.0, 3.0], (5, 1))
         with pytest.raises(DegeneratePopulationError):
-            normalize(NormalizationState(), values, [values])
+            normalize(NormalizationState(), values)
 
     def test_extremes_carried_between_calls(self):
         state, front = self._full_front_state(6)
-        _, state = normalize(state, front, [front])
+        _, state = normalize(state, front)
         assert state.extremes is not None
         subset = np.array([[6, 0, 0], [0, 3, 3], [3, 1, 2], [2, 2, 2]], dtype=float)
-        _, state2 = normalize(state, subset, [subset])
+        _, state2 = normalize(state, subset)
         # running ideal survives even though the subset is narrower
         assert state2.ideal.tolist() == [0, 0, 0]
 
@@ -160,7 +160,7 @@ class TestMinMaxEquivalence:
             # force the extremes into the population
             values[0] = [n, 0, 0]
             values[1] = [0, n // 2, n // 2]
-            nv, _ = normalize(NormalizationState(), values, [values])
+            nv, _ = normalize(NormalizationState(), values)
             lo = values.min(axis=0)
             hi = values.max(axis=0)
             expected = (values - lo) / (hi - lo)

@@ -248,7 +248,7 @@ class TestNichingSelect:
     def test_whole_front_when_k_equals_size(self, rng):
         cand_refs = np.array([0, 1, 2, 3])
         cand_dists = np.array([0.1, 0.2, 0.3, 0.4])
-        sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 4, rng)
+        sel = niching_select(cand_refs, cand_dists, 4, rng)
         assert sorted(sel.tolist()) == [0, 1, 2, 3]
 
     def test_hand_simulation_two_slots(self):
@@ -257,7 +257,7 @@ class TestNichingSelect:
         cand_dists = np.array([0.1, 0.2, 0.3])
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 2, rng)
+            sel = niching_select(cand_refs, cand_dists, 2, rng)
             assert sorted(sel.tolist()) == [0, 2]
 
     def test_single_point_distance_then_random(self):
@@ -269,7 +269,7 @@ class TestNichingSelect:
         rest = Counter()
         for seed in range(600):
             rng = np.random.default_rng(seed)
-            sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 3, rng)
+            sel = niching_select(cand_refs, cand_dists, 3, rng)
             first[sel[0]] += 1
             rest.update(sel[1:].tolist())
         assert set(first) == {1}  # index of the 0.1 distance
@@ -280,54 +280,37 @@ class TestNichingSelect:
 
     def test_k_too_large_rejected(self, rng):
         with pytest.raises(ValueError):
-            niching_select(np.array([], dtype=int), np.array([0]), np.array([0.1]), 2, rng)
+            niching_select(np.array([0]), np.array([0.1]), 2, rng)
 
     def test_exactly_k_without_exceeding_multiplicity(self, rng):
         cand_refs = rng.integers(0, 10, 30)
         cand_dists = rng.random(30)
-        sel = niching_select(np.array([], dtype=int), cand_refs, cand_dists, 12, rng)
+        sel = niching_select(cand_refs, cand_dists, 12, rng)
         assert len(sel) == 12
         assert len(set(sel.tolist())) == 12
 
     def test_every_occupied_point_keeps_a_survivor(self, rng):
-        # when the occupied reference points number at most |Z_t| + k, each
-        # keeps at least one associated individual among Z_t + selected
+        # when k is at least the number of occupied reference points, each
+        # keeps at least one associated individual
         for trial in range(30):
             cand_refs = rng.integers(0, 10, 20)
-            selected_refs = rng.permutation(15)[:5]  # distinct Z_t niches
-            occupied = set(cand_refs.tolist()) | set(selected_refs.tolist())
-            k = len(set(cand_refs.tolist()) - set(selected_refs.tolist()))
-            if k == 0:
-                continue
-            sel = niching_select(selected_refs, cand_refs, rng.random(20), k, rng)
-            survivors = {int(cand_refs[i]) for i in sel} | set(selected_refs.tolist())
-            assert occupied <= survivors
-
-    def test_niche_counts_steer_selection(self, rng):
-        # r0 already holds two selected individuals, r1 none: the single
-        # slot must go to r1's candidate
-        sel = niching_select(
-            selected_refs=np.array([0, 0]),
-            cand_refs=np.array([0, 1]),
-            cand_dists=np.array([0.0, 0.9]),
-            k=1,
-            rng=rng,
-        )
-        assert sel.tolist() == [1]
+            occupied = set(cand_refs.tolist())
+            k = int(rng.integers(len(occupied), 21))
+            sel = niching_select(cand_refs, rng.random(20), k, rng)
+            assert {int(cand_refs[i]) for i in sel} == occupied
 
 
 LATTICES = {p: generate_reference_points(3, p) for p in range(1, 7)}
 
 
-def assert_same_picks(selected_refs, cand_refs, cand_dists, k, refs, seed):
+def assert_same_picks(cand_refs, cand_dists, k, refs, seed):
     """Bucketed niching equals the loop oracle: same picks in the same
     order, same generator state after."""
     rng = np.random.default_rng(seed)
     oracle_rng = np.random.default_rng(seed)
-    args = (np.asarray(selected_refs, dtype=np.int64), np.asarray(cand_refs),
-            np.asarray(cand_dists, dtype=float), k)
+    args = (np.asarray(cand_refs), np.asarray(cand_dists, dtype=float), k)
     got = niching_select(*args, rng)
-    want = loop_niching_select(*args, refs, oracle_rng)
+    want = loop_niching_select([], *args, refs, oracle_rng)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -343,10 +326,8 @@ def niching_inputs(draw):
     cand_dists = draw(st.lists(
         st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=n_cand, max_size=n_cand
     ))
-    # carried individuals on candidate points and elsewhere
-    selected = draw(st.lists(st.one_of(st.sampled_from(points), spots), max_size=20))
     k = draw(st.integers(1, n_cand))
-    return selected, cand_refs, cand_dists, k, refs, draw(st.integers(0, 2**32 - 1))
+    return cand_refs, cand_dists, k, refs, draw(st.integers(0, 2**32 - 1))
 
 
 class TestNichingMatchesLoop:
@@ -364,24 +345,19 @@ class TestNichingMatchesLoop:
             rng = np.random.default_rng(seed)
             values = front[rng.integers(len(front), size=2 * len(front))]
             assoc = associate(values, refs, rng)
-            carried = int(rng.integers(len(values) // 2))
-            cand_refs = assoc.ref_index[carried:]
-            for k in (1, len(cand_refs) // 2, len(cand_refs)):
-                assert_same_picks(assoc.ref_index[:carried], cand_refs,
-                                  assoc.distance[carried:], k, refs, seed)
+            for k in (1, len(values) // 2, len(values)):
+                assert_same_picks(assoc.ref_index, assoc.distance, k, refs, seed)
 
     def test_front_at_40_186(self):
         # nsga3-xover's scale: the n = 40 front drawn with repeats to
-        # 2N = 882 rows, N = 441 picks after a carried block
+        # 2N = 882 rows, N = 441 picks
         front = minmax_front(40)
         refs = generate_reference_points(3, 186)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             values = front[rng.integers(len(front), size=882)]
             assoc = associate(values, refs, rng)
-            carried = int(rng.integers(441))
-            assert_same_picks(assoc.ref_index[:carried], assoc.ref_index[carried:],
-                              assoc.distance[carried:], 441, refs, seed)
+            assert_same_picks(assoc.ref_index, assoc.distance, 441, refs, seed)
 
 
 # bounds of every size, many just above 2**31, where about half of all

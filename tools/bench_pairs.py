@@ -9,7 +9,9 @@ Both commits are cloned into a temporary directory. Pair i runs at seed
 ones; each side runs every workload of BENCHMARK.json, one after the
 other, as ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` in its own clone, with T the benchmark's ``run_seconds``, and
-keeps each workload's per-round record digests.
+keeps each workload's per-round record digests and its first five ``check
+failed:`` lines (``check_failures``); a run that ends in error keeps its
+exit code.
 
 For every end-to-end metric of BENCHMARK.json the file records each
 side's median and quartiles (linear interpolation) and ``change_wins``, the
@@ -44,6 +46,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "--hypothesis-seed=0"]
 TIER1_RUNS = 3
 DIGEST_LINE = "records digest per round:"
+CHECK_LINE = "  check failed:"
+CHECK_FAILURES_KEPT = 5
 TRACE_SECONDS = 1.0
 
 
@@ -65,22 +69,28 @@ def child_env(src: Path | None = None) -> dict:
 
 def run_workload(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` call: its JSON result, traced wall time and
-    record digests, or the error it ended with."""
+    record digests, or the error and exit code it ended with; either way its
+    first ``CHECK_FAILURES_KEPT`` failed checks, if any."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, env=child_env(), capture_output=True, text=True,
                           timeout=max(900.0, 20 * seconds))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    result = json.loads(lines[-1])
-    run = {key: result[key] for key in ("attempted", "failed", "correct")}
-    run.update({m: round(v["value"], 6) for m, v in result["metrics"].items()})
+        run = {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}",
+               "exit": proc.returncode}
+    else:
+        result = json.loads(lines[-1])
+        run = {key: result[key] for key in ("attempted", "failed", "correct")}
+        run.update({m: round(v["value"], 6) for m, v in result["metrics"].items()})
     for line in lines:
         if line.startswith(DIGEST_LINE):
             run["record_digests"] = line[len(DIGEST_LINE):].strip()
         elif line.startswith("traced wall_s"):
             run["traced_wall_s"] = float(line.split()[2])
+    failures = [line.strip() for line in lines if line.startswith(CHECK_LINE)]
+    if failures:
+        run["check_failures"] = failures[:CHECK_FAILURES_KEPT]
     return run
 
 
