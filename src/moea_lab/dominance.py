@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ def fast_nondominated_sort(values, sense: str = "min") -> list[np.ndarray]:
     if values.dtype.kind in "biu" and values.size:
         bound = max(int(values.max()), -int(values.min()))
         if values.shape[1] * bound < 2**63:
-            sums = values.sum(axis=1, dtype=np.int64)
+            sums = functools.reduce(np.add, [c.astype(np.int64) for c in values.T])
             if np.all(sums == sums[0]):
                 return [np.arange(values.shape[0])]
     at_least_as_good = np.less_equal if sense == "min" else np.greater_equal
@@ -86,8 +87,8 @@ def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         codes = _box_codes(columns, [c.min() for c in columns], [c.max() for c in columns])
     if codes is None:
         order = np.lexsort(columns[::-1])  # lexsort's last key is the primary one
-        ordered = values[order]
-        changed = np.any(ordered[1:] != ordered[:-1], axis=1)
+        ordered = [column[order] for column in columns]
+        changed = functools.reduce(np.logical_or, [c[1:] != c[:-1] for c in ordered])
     else:
         order = np.argsort(codes)  # equal codes are equal rows, so any sort will do
         ordered = codes[order]

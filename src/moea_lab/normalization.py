@@ -12,6 +12,7 @@ ideal_j).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,8 +59,8 @@ def update_ideal_and_worst(
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] == 0:
         raise ValueError("objective value batch must be non-empty")
-    lo = values.min(axis=0)
-    hi = values.max(axis=0)
+    lo = np.array([column.min() for column in values.T])
+    hi = np.array([column.max() for column in values.T])
     if state.ideal is not None:
         lo = np.minimum(state.ideal, lo)
     if state.worst is not None:
@@ -72,15 +73,18 @@ def extreme_point(j: int, candidates: np.ndarray, ideal: np.ndarray) -> np.ndarr
 
     ASF(z) = max_k (z_k - ideal_k) / w_k with w_j = 1 and w_k =
     ``ASF_OFF_AXIS_WEIGHT`` elsewhere; ties go to the first candidate in
-    input order.
+    input order. Each term is one column operation and a max is exact, so
+    no pass runs over the short row axis.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     if candidates.shape[0] == 0:
         raise ValueError("extreme point needs at least one candidate")
-    weights = np.full(candidates.shape[1], ASF_OFF_AXIS_WEIGHT)
-    weights[j] = 1.0
-    asf = ((candidates - np.asarray(ideal, dtype=float)) / weights).max(axis=1)
-    return candidates[int(np.argmin(asf))].copy()
+    ideal = np.broadcast_to(np.asarray(ideal, dtype=float), candidates.shape[1:])
+    terms = [
+        (column - low) / (1.0 if k == j else ASF_OFF_AXIS_WEIGHT)
+        for k, (column, low) in enumerate(zip(candidates.T, ideal))
+    ]
+    return candidates[int(np.argmin(functools.reduce(np.maximum, terms)))].copy()
 
 
 def hyperplane_intercepts(
@@ -152,7 +156,7 @@ def normalize(
     m = values.shape[1]
     extremes = np.stack([extreme_point(j, candidates, ideal) for j in range(m)])
 
-    nadir = values.max(axis=0)
+    nadir = np.array([column.max() for column in values.T])
     valid, intercepts = hyperplane_intercepts(extremes, ideal)
     if valid and np.all((intercepts >= eps) & (intercepts <= worst)):
         nadir = np.where(intercepts < ideal + eps, nadir, intercepts)

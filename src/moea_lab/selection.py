@@ -22,17 +22,16 @@ Ties are still read from the product's bits, so they can depend on the BLAS
 build; ``ReferencePointSet.nearest`` has exact tie sets, but association on
 it would draw a different stream, and that switch is still open.
 
-Niching keeps the active reference points in buckets by niche count, each
-bucket in lattice order, so every pick draws among the same points, with the
-same calls, as a scan of all active points would. Its draws are replayed
-from one batch of 32-bit words (``_replayed_draws``), word for word as
-numpy's bounded draw would take them, and the generator ends in the state
-the scalar calls would leave.
+Niching runs one niche count (level) at a time: a level's active points are
+the points picked at the level before, in lattice order, so every pick draws
+among the same points, with the same calls, as a scan of all active points
+would. Its draws are replayed from one batch of 32-bit words
+(``_replayed_draws``), word for word as numpy's bounded draw would take
+them, and the generator ends in the state the scalar calls would leave.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -107,7 +106,8 @@ def associate(
         raise ValueError("normalized objective values must be finite and non-negative")
 
     uniq, inverse = _distinct_rows(normalized)
-    keys = [row.tobytes() for row in uniq]
+    # each row's bytes, as row.tobytes() gives them, from one void view
+    keys = uniq.view(np.dtype((np.void, uniq.itemsize * refs.dim))).ravel().tolist()
     memo = refs._associations
     found = [memo.get(key) for key in keys]  # (top cells, their distances)
     missed = [i for i, hit in enumerate(found) if hit is None]
@@ -218,10 +218,11 @@ def niching_select(
     with no candidates at all are retired up front; this does not change
     the distribution of outcomes, only skips the no-op visits.
 
-    Only the points with candidates are counted. They sit in one list per
-    niche count, in lattice order; a pick moves its point up one list by
-    insertion in order, so each pick draws among the same points, with the
-    same ``rng.integers`` calls, as a scan of all active points. A pool is
+    Only the points with candidates are counted, one niche count (level) at
+    a time: every active point has the lowest count until the level ends,
+    and the next level's points are those picked at this one, in lattice
+    order, so each pick draws among the same points, with the same
+    ``rng.integers`` calls, as a scan of all active points. A pool is
     intact while its count is 0, so its distance-minimal positions are
     found once, up front. The calls are replayed from one batch of words
     (``_replayed_draws``): the same values, and the same generator state
@@ -252,17 +253,15 @@ def niching_select(
     near_start = (np.cumsum(near_count) - near_count).tolist()
     near_count = near_count.tolist()
 
-    buckets = {0: list(range(len(pools)))}
+    level, active, picked = 0, list(range(len(pools))), []
     chosen: list[int] = []
     # at most one draw per retirement and two per pick, each one word
     # unless rejected
     with _replayed_draws(rng, 2 * k + len(pools)) as below:
         while len(chosen) < k:
-            level = min(buckets)
-            bucket = buckets[level]
-            j = bucket.pop(below(len(bucket)))
-            if not bucket:
-                del buckets[level]
+            if not active:  # the level is done; the next holds its picks
+                level, active, picked = level + 1, sorted(picked), []
+            j = active.pop(below(len(active)))
             pool = pools[j]
             if not pool:
                 continue
@@ -271,7 +270,7 @@ def niching_select(
             else:
                 pos = below(len(pool))
             chosen.append(pool.pop(pos))
-            insort(buckets.setdefault(level + 1, []), j)
+            picked.append(j)
     return np.array(chosen, dtype=np.int64)
 
 

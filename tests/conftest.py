@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from moea_lab.dominance import _distinct_rows
+from moea_lab.normalization import (
+    ASF_OFF_AXIS_WEIGHT,
+    EPSILON_NADIR,
+    DegeneratePopulationError,
+    NormalizationState,
+    hyperplane_intercepts,
+)
 from moea_lab.problems import pareto_front_3omm
 from moea_lab.refpoints import _RADIUS, _TIE_RTOL, _binomial, _plane_angles
 from moea_lab.selection import Association
@@ -174,6 +181,39 @@ def dense_associate(normalized, refs, rng) -> Association:
     residual = uniq - np.array(best)[:, None] * units[chosen]
     dist = np.linalg.norm(residual, axis=1)
     return Association(ref_index=chosen[inverse], distance=dist[inverse])
+
+
+def row_axis_extreme_point(j, candidates, ideal):
+    """Oracle: ``normalization.extreme_point`` with the ASF as one max over
+    each candidate's row of weighted terms."""
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    weights = np.full(candidates.shape[1], ASF_OFF_AXIS_WEIGHT)
+    weights[j] = 1.0
+    asf = ((candidates - np.asarray(ideal, dtype=float)) / weights).max(axis=1)
+    return candidates[int(np.argmin(asf))].copy()
+
+
+def row_axis_normalize(state, values):
+    """Oracle: ``normalization.normalize`` with every minimum and maximum
+    taken by a reduction over the whole (rows x M) array."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    ideal, worst = values.min(axis=0), values.max(axis=0)
+    if state.ideal is not None:
+        ideal = np.minimum(state.ideal, ideal)
+    if state.worst is not None:
+        worst = np.maximum(state.worst, worst)
+    candidates = values if state.extremes is None else np.concatenate([values, state.extremes])
+    m = values.shape[1]
+    extremes = np.stack([row_axis_extreme_point(j, candidates, ideal) for j in range(m)])
+
+    nadir = values.max(axis=0)
+    valid, intercepts = hyperplane_intercepts(extremes, ideal)
+    if valid and np.all((intercepts >= EPSILON_NADIR) & (intercepts <= worst)):
+        nadir = np.where(intercepts < ideal + EPSILON_NADIR, nadir, intercepts)
+    if np.any(nadir < ideal + EPSILON_NADIR):
+        raise DegeneratePopulationError("no spread")
+    state = NormalizationState(ideal=ideal, worst=worst, extremes=extremes, nadir=nadir)
+    return (values - ideal) / (nadir - ideal), state
 
 
 def loop_niching_select(selected_refs, cand_refs, cand_dists, k, refs, rng):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ from hypothesis import strategies as st
 from moea_lab.dominance import _box_codes, _distinct_rows, fast_nondominated_sort
 from moea_lab.problems import pareto_front_3omm
 
-from conftest import dominates
+from conftest import PRINT_PEAK_KB, dominates
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def brute_force_ranks(values, sense):
@@ -106,6 +112,25 @@ class TestFastNondominatedSort:
         fronts = fast_nondominated_sort(values, "max")
         assert len(fronts) == 1
         assert len(fronts[0]) == 40
+
+    def test_front_at_n256_given_twice_stays_small(self):
+        # 33,282 rows, 16,641 distinct: a domination matrix over the distinct
+        # values alone would take 277 MB, so equal sums must skip it
+        code = (
+            "import numpy as np\n"
+            "from moea_lab.dominance import fast_nondominated_sort\n"
+            "from moea_lab.problems import pareto_front_3omm\n"
+            "front = pareto_front_3omm(256)\n"
+            "fronts = fast_nondominated_sort(np.concatenate([front, front]), 'max')\n"
+            "assert len(fronts) == 1 and len(fronts[0]) == 2 * len(front)\n"
+            + PRINT_PEAK_KB
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 100 * 1024  # kB
 
     def test_duplicates_share_a_front(self):
         values = np.array([[1, 1], [1, 1], [2, 2]])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moea_lab.genome import random_population
 from moea_lab.normalization import (
@@ -11,6 +13,8 @@ from moea_lab.normalization import (
     update_ideal_and_worst,
 )
 from moea_lab.problems import pareto_front_3omm, three_omm
+
+from conftest import row_axis_extreme_point, row_axis_normalize
 
 
 class TestUpdateIdealAndWorst:
@@ -165,3 +169,59 @@ class TestMinMaxEquivalence:
             hi = values.max(axis=0)
             expected = (values - lo) / (hi - lo)
             assert np.allclose(nv, expected, atol=1e-12)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# one to three batches normalized in turn, the state (and so the extremes)
+# carried between them; integer values from a few levels, so that rows tie
+# on the ASF with different values, as (5, 3, 0) and (5, 0, 3) do on axis 0
+@st.composite
+def integer_batches(draw):
+    m = draw(st.integers(2, 4))
+    rows = st.lists(st.integers(0, 5), min_size=m, max_size=m)
+    return [
+        np.array(draw(st.lists(rows, min_size=1, max_size=12)), dtype=np.int64)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+class TestColumnWiseBits:
+    """Column-wise reductions give the bits of reductions over the row axis."""
+
+    @given(integer_batches())
+    @settings(max_examples=300, deadline=None)
+    @example([np.array([[5, 3, 0], [5, 0, 3], [0, 4, 1], [2, 2, 2]])])
+    @example([np.array([[5, 0, 3], [5, 3, 0], [1, 4, 0]]), np.array([[5, 3, 0], [0, 0, 5]])])
+    def test_matches_row_axis_oracle(self, batches):
+        state = oracle_state = NormalizationState()
+        for values in batches:
+            candidates = values.astype(float)
+            if state.extremes is not None:
+                candidates = np.concatenate([candidates, state.extremes])
+            ideal = candidates.min(axis=0)
+            for j in range(values.shape[1]):
+                assert_same_bits(
+                    extreme_point(j, candidates, ideal),
+                    row_axis_extreme_point(j, candidates, ideal),
+                )
+            try:
+                want, oracle_state = row_axis_normalize(oracle_state, values)
+            except DegeneratePopulationError:
+                with pytest.raises(DegeneratePopulationError):
+                    normalize(state, values)
+                return
+            got, state = normalize(state, values)
+            assert_same_bits(got, want)
+            for field in ("ideal", "worst", "extremes", "nadir"):
+                assert_same_bits(getattr(state, field), getattr(oracle_state, field))
+
+    def test_asf_tie_goes_to_the_first_row(self):
+        # both rows score max(5, 3e6) on axis 0, whichever order the terms
+        # are maximized in
+        cands = np.array([[5, 3, 0], [5, 0, 3]], dtype=float)
+        assert extreme_point(0, cands, np.zeros(3)).tolist() == [5, 3, 0]
+        assert extreme_point(0, cands[::-1], np.zeros(3)).tolist() == [5, 0, 3]

@@ -304,7 +304,7 @@ LATTICES = {p: generate_reference_points(3, p) for p in range(1, 7)}
 
 
 def assert_same_picks(cand_refs, cand_dists, k, refs, seed):
-    """Bucketed niching equals the loop oracle: same picks in the same
+    """Level-wise niching equals the loop oracle: same picks in the same
     order, same generator state after."""
     rng = np.random.default_rng(seed)
     oracle_rng = np.random.default_rng(seed)
@@ -335,6 +335,22 @@ class TestNichingMatchesLoop:
     @settings(max_examples=300, deadline=None)
     def test_random_inputs(self, inputs):
         assert_same_picks(*inputs)
+
+    # (cand_refs, k): k equal to the number of occupied points, so the run
+    # ends as level 0 ends; k one past it, so level 1 makes one pick; and
+    # single-candidate pools (points 0, 2 and 5), which level 1 retires
+    @pytest.mark.parametrize("cand_refs, k", [
+        ([3, 1, 3, 4, 1, 1, 4, 3], 3),
+        ([3, 1, 3, 4, 1, 1, 4, 3], 4),
+        ([0, 2, 5], 3),
+        ([0, 1, 2, 1, 5, 1, 3, 3], 5),
+        ([0, 1, 2, 1, 5, 1, 3, 3], 7),
+        ([0, 1, 2, 1, 5, 1, 3, 3], 8),
+    ])
+    def test_level_edges(self, cand_refs, k):
+        dists = [0.25, 0.0, 0.25, 0.5, 0.0, 0.125, 0.5, 0.25][: len(cand_refs)]
+        for seed in range(40):
+            assert_same_picks(cand_refs, dists, k, LATTICES[2], seed)
 
     def test_front_at_16_75(self):
         # the min-max normalized 3-OMM front, drawn with repeats so that

@@ -14,8 +14,11 @@ failed:`` lines (``check_failures``); a run that ends in error keeps its
 exit code.
 
 For every end-to-end metric of BENCHMARK.json the file records each
-side's median and quartiles (linear interpolation) and ``change_wins``, the
-pairs where the change reads better, ties counting for neither. With
+side's median and quartiles (linear interpolation), ``change_wins``, the
+pairs where the change reads better, ties counting for neither, and
+``over_bound``, whether the change's median is worse than the parent's by
+more than the metric's ``bound``; the top-level ``over_bound`` lists every
+such ``WORKLOAD:METRIC``, so a regression shows before the change is sent. With
 ``--claim`` it also records whether the claimed metric meets the gain rule:
 the change wins at least nine tenths of the pairs, fails no more operations
 than the parent, and the medians differ by more than the parent's
@@ -113,12 +116,14 @@ def summarize(runs: dict, workloads: list[str], metrics: list[dict]) -> tuple[di
             sign = 1 if metric["better"] == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            worse = sign * (change["median"] - parent["median"])
             row[name] = {
                 "parent": parent,
                 "change": change,
                 "change_over_parent_median": round(change["median"] / parent["median"], 4)
                 if parent["median"] else None,
                 "change_wins": f"{wins}/{len(ok)}",
+                "over_bound": worse > metric["bound"] * abs(parent["median"]),
             }
         row["failed"] = {s: sum(p[s][w].get("failed", 0) for p in pairs) for s in SIDES}
         row["attempted"] = {s: sum(p[s][w].get("attempted", 0) for p in pairs) for s in SIDES}
@@ -135,6 +140,13 @@ def summarize(runs: dict, workloads: list[str], metrics: list[dict]) -> tuple[di
                 and rounds["parent"][:common] == rounds["change"][:common],
             }
     return summary, digests
+
+
+def over_bound(summary: dict, metrics: list[dict]) -> list[str]:
+    """Every ``WORKLOAD:METRIC`` whose change median is worse than the
+    parent's by more than the metric's bound."""
+    return [f"{w}:{m['name']}" for w, row in summary.items() for m in metrics
+            if row.get(m["name"], {}).get("over_bound")]
 
 
 def claim(summary: dict, spec: str, pairs: int, metrics: list[dict]) -> dict:
@@ -236,6 +248,7 @@ def main(argv=None) -> int:
         }
         if args.claim:
             report["claimed"] = claim(summary, args.claim, args.pairs, metrics)
+        report["over_bound"] = over_bound(summary, metrics)
         report["workloads"] = summary
         if args.trace:
             seed = args.seed + args.pairs
