@@ -61,6 +61,13 @@ class TestExtremePoint:
         assert e0.tolist() == [5, 1, 0]
         assert e1.tolist() == [1, 5, 0]
 
+    def test_asf_tie_goes_to_the_first_candidate(self):
+        # both rows score max(5, 3e6) on axis 0, whichever order the terms
+        # are maximized in
+        cands = np.array([[5, 3, 0], [5, 0, 3]], dtype=float)
+        assert extreme_point(0, cands, np.zeros(3)).tolist() == [5, 3, 0]
+        assert extreme_point(0, cands[::-1], np.zeros(3)).tolist() == [5, 0, 3]
+
 
 class TestHyperplaneIntercepts:
     def test_axis_aligned_translated_extremes(self):
@@ -218,10 +225,3 @@ class TestColumnWiseBits:
             assert_same_bits(got, want)
             for field in ("ideal", "worst", "extremes", "nadir"):
                 assert_same_bits(getattr(state, field), getattr(oracle_state, field))
-
-    def test_asf_tie_goes_to_the_first_row(self):
-        # both rows score max(5, 3e6) on axis 0, whichever order the terms
-        # are maximized in
-        cands = np.array([[5, 3, 0], [5, 0, 3]], dtype=float)
-        assert extreme_point(0, cands, np.zeros(3)).tolist() == [5, 3, 0]
-        assert extreme_point(0, cands[::-1], np.zeros(3)).tolist() == [5, 0, 3]
